@@ -396,7 +396,7 @@ def _path_between(adj, active, a, b):
     return path[::-1]
 
 
-def cert_tree_support_leaf(t: Graph) -> Certificate:
+def cert_tree_support_leaf(t: Graph, threshold_mode: str = "ceil") -> Certificate:
     """One inductive step of the ceil((n+7s-5l)/4) bound construction.
 
     Base cases: diameter <= 2 (stars, including P_2 and P_3) label the
@@ -406,6 +406,7 @@ def cert_tree_support_leaf(t: Graph) -> Certificate:
     the stripped tree (standing in for the induction hypothesis) by
     f(v) = 2 and -1 on the stripped leaves. Validity of the extension is
     not re-proved here; downstream validation decides it per instance.
+    The stripped tree is solved under ``threshold_mode``.
     """
     if not is_tree(t):
         raise CertificateError("input graph is not a tree")
@@ -419,7 +420,7 @@ def cert_tree_support_leaf(t: Graph) -> Certificate:
         hub = max(active, key=lambda v: (len(adj[v]), -v))
         out = tuple(2 if v == hub else -1 for v in range(t.n))
     else:
-        from .solver import solve
+        from .solver import SolveOptions, solve
 
         dpath = _path_between(adj, active, far_a, far_b)
         v = dpath[-2]
@@ -431,7 +432,7 @@ def cert_tree_support_leaf(t: Graph) -> Certificate:
             len(kept),
             [(index[a], index[b]) for a, b in t.edges() if a in index and b in index],
         )
-        inner = solve(sub).witness
+        inner = solve(sub, SolveOptions(threshold_mode=threshold_mode)).witness
         labels = [0] * t.n
         for u in kept:
             labels[u] = inner[index[u]]

@@ -42,19 +42,30 @@ _FAMILIES = (
 ).split()
 
 
+# GraphSpec field -> command-line flag, for families that take more than --n
+_SPEC_FLAGS = {
+    "double_star": (("n", "a"), ("m", "b")),
+    "join_complete": (("m", "m"), ("n", "n")),
+    "corona_k3": (("k", "k"),),
+    "random_tree": (("n", "n"), ("seed", "seed")),
+}
+
+
+def _required(args, flags, what: str) -> list:
+    """The values of ``flags``, or a usage error naming the missing ones."""
+    missing = [f"--{f}" for f in flags if getattr(args, f, None) is None]
+    if missing:
+        raise CliError(f"{what} needs {' '.join(missing)}")
+    return [getattr(args, f) for f in flags]
+
+
 def _spec_from_args(args) -> GraphSpec:
     fam = args.family
     if fam not in _FAMILIES:
         raise CliError(f"unknown family {fam!r}; choose from {_FAMILIES}")
-    if fam == "double_star":
-        return GraphSpec(fam, n=args.a, m=args.b)
-    if fam == "join_complete":
-        return GraphSpec(fam, m=args.m, n=args.n)
-    if fam == "corona_k3":
-        return GraphSpec(fam, k=args.k)
-    if fam == "random_tree":
-        return GraphSpec(fam, n=args.n, seed=args.seed)
-    return GraphSpec(fam, n=args.n)
+    fields = _SPEC_FLAGS.get(fam, (("n", "n"),))
+    values = _required(args, [flag for _, flag in fields], f"family {fam}")
+    return GraphSpec(fam, **{field: v for (field, _), v in zip(fields, values)})
 
 
 def _load_graph(args):
@@ -67,7 +78,9 @@ def _load_graph(args):
     raise CliError("provide either --family or --file")
 
 
-def _parse_range(text: str) -> range:
+def _parse_range(text: Optional[str]) -> range:
+    if text is None:
+        raise CliError("missing --range A..B")
     if ".." not in text:
         raise CliError(f"malformed range {text!r}; expected A..B")
     lo, hi = text.split("..", 1)
@@ -121,16 +134,17 @@ def cmd_gen(args) -> int:
     return 0
 
 
+# theorem -> (flags it needs, certificate builder)
 _CERT_THEOREMS = {
-    "complete": lambda a: certs.cert_complete(a.n),
-    "star": lambda a: certs.cert_star(a.n),
-    "join": lambda a: certs.cert_join_complete(a.m, a.n),
-    "wheel": lambda a: certs.cert_wheel_fan(a.n, "wheel"),
-    "fan": lambda a: certs.cert_wheel_fan(a.n, "fan"),
-    "cpath": lambda a: certs.cert_complement_path(a.n),
-    "ccycle": lambda a: certs.cert_complement_cycle(a.n),
-    "kminusm": lambda a: certs.cert_complete_minus_matching(a.n),
-    "corona_k3": lambda a: certs.cert_corona_k3(a.k),
+    "complete": (("n",), certs.cert_complete),
+    "star": (("n",), certs.cert_star),
+    "join": (("m", "n"), certs.cert_join_complete),
+    "wheel": (("n",), lambda n: certs.cert_wheel_fan(n, "wheel")),
+    "fan": (("n",), lambda n: certs.cert_wheel_fan(n, "fan")),
+    "cpath": (("n",), certs.cert_complement_path),
+    "ccycle": (("n",), certs.cert_complement_cycle),
+    "kminusm": (("n",), certs.cert_complete_minus_matching),
+    "corona_k3": (("k",), certs.cert_corona_k3),
 }
 
 
@@ -140,8 +154,10 @@ def cmd_cert(args) -> int:
             f"unknown certificate theorem {args.theorem!r}; "
             f"choose from {sorted(_CERT_THEOREMS)}"
         )
+    flags, build = _CERT_THEOREMS[args.theorem]
+    values = _required(args, flags, f"theorem {args.theorem}")
     _warn_floor(args)
-    cert = _CERT_THEOREMS[args.theorem](args)
+    cert = build(*values)
     print(f"source:       {cert.source} ({cert.transcription})")
     print(f"labeling:     {serialize_labeling(cert.labeling)}")
     print(f"claimed:      {cert.claimed_weight}")

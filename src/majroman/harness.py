@@ -36,7 +36,12 @@ from .solver import (
     brute_force,
     solve,
 )
-from .trees import find_gamma_set_independent_complement, tree_profile
+from .trees import (
+    GAMMA_SET_CAP,
+    TreeError,
+    find_gamma_set_independent_complement,
+    tree_profile,
+)
 
 Number = Union[int, Fraction]
 
@@ -272,6 +277,14 @@ def _check_corona_lower(params, opts) -> TheoremReport:
 
 
 def _check_tree_bounds(params, opts) -> TheoremReport:
+    params = list(params)
+    # reject before any solve: the gamma-set search would refuse them after
+    largest = max((spec.n for spec in params), default=0)
+    if largest > GAMMA_SET_CAP:
+        raise TreeError(
+            f"tree order n={largest} exceeds the gamma-set search cap "
+            f"{GAMMA_SET_CAP}"
+        )
     report = TheoremReport("tree_bounds")
     for spec in params:
         t = generate(spec)
@@ -281,7 +294,7 @@ def _check_tree_bounds(params, opts) -> TheoremReport:
         optimum = res.optimum if res else None
 
         # (a) support/leaf bound via the inductive construction
-        cert = certs.cert_tree_support_leaf(t)
+        cert = certs.cert_tree_support_leaf(t, opts.threshold_mode)
         cert_report = validate(t, cert.labeling, opts.threshold_mode)
         bound = formulas.tree_support_leaf_bound(
             profile.n, profile.supports, profile.leaves

@@ -2,8 +2,13 @@
 
 Two independent routes:
 
-* ``brute_force`` -- vectorized exhaustive enumeration of all 3^n
-  labelings (the reference oracle), capped at n <= 16 by default.
+* ``brute_force`` -- exhaustive enumeration of all 3^n labelings (the
+  reference oracle), capped at n <= 16 by default. The last min(n, 11)
+  vertices form a low block whose 3^11 rows (closed sums, 2-neighbour
+  counts, weights, guard bitmasks) are built once per call in int16 by
+  mixed-radix broadcasting; the 3^(n-11) labelings of the high prefix are
+  then swept in code order, re-comparing only the closed sums of N[high].
+  Memory stays near 3^11 x n int16 per array at any n.
 * ``branch_and_bound`` -- DFS over partial labelings with three safe
   pruning rules, usable beyond the brute-force cap and on sparse graphs.
 
@@ -15,6 +20,8 @@ validity, hence the optimum is always < 2n for n >= 1.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -66,8 +73,42 @@ class OptResult:
     proven: bool = True
 
 
-_LABELS = np.array([-1, 1, 2], dtype=np.int8)
-_CHUNK = 3**12
+_LABELS = (-1, 1, 2)
+# per digit: a closed neighbour adds its label, an open neighbour counts a 2
+_COEF = np.array([_LABELS, (0, 0, 1)], dtype=np.int16)[:, None, None, :]
+# order of the low block, whose 3^_LOW rows are built once per call
+_LOW = 11
+
+
+@functools.lru_cache(maxsize=_LOW)
+def _block(k: int):
+    """Constant tables of the 3^k labelings of k vertices in code order.
+
+    Read-only and cached per block size: the (k, 3^k) int8 labels, the
+    int16 bit of vertex j where it is -1 (else 0), and the int16 row
+    weights.
+    """
+    axes = np.meshgrid(*[np.array(_LABELS, dtype=np.int8)] * k, indexing="ij")
+    labels = np.stack([a.reshape(-1) for a in axes])
+    bits = np.left_shift(1, np.arange(k, dtype=np.int16))[:, None]
+    tables = (labels, (labels == -1) * bits, labels.sum(axis=0, dtype=np.int16))
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+def _low_rows(coef: np.ndarray) -> np.ndarray:
+    """Sums over the low block for every code, by mixed-radix broadcasting.
+
+    ``coef[i, j, d]`` is what low vertex j adds to row i when its digit
+    is d. Column r of the result holds, for each row i, the sum over j of
+    ``coef[i, j, digit_j(r)]``. It is built one digit at a time, from the
+    least significant one, with no decoding of r.
+    """
+    out = coef[:, -1, :]
+    for j in range(coef.shape[1] - 2, -1, -1):
+        out = (coef[:, j, :, None] + out[:, None, :]).reshape(len(coef), -1)
+    return out
 
 
 def brute_force(g: Graph, options: Optional[SolveOptions] = None) -> OptResult:
@@ -76,6 +117,17 @@ def brute_force(g: Graph, options: Optional[SolveOptions] = None) -> OptResult:
     The witness is the first optimum in mixed-radix code order, which is
     the lexicographically smallest over vertices 0..n-1 with value order
     (-1, +1, 2).
+
+    The last ``min(n, 11)`` vertices form the low block. Its 3^11 rows
+    are built once per call: each vertex's closed sum over the block, its
+    number of low 2-neighbours, the row weights and a guard bitmask. The
+    labelings of the high prefix (the first ``n - 11`` vertices) are then
+    swept in code order. Each one re-compares only the closed sums of
+    N[high], and tests the Roman guard with two bitmask tests per row:
+    a low -1 vertex with no low 2 needs a high 2 neighbour, and a high -1
+    vertex with no high 2 needs a low 2 neighbour. The best row of a
+    block is its first lightest valid one; a later block wins only when
+    strictly lighter.
     """
     opts = options or SolveOptions()
     n = g.n
@@ -88,43 +140,76 @@ def brute_force(g: Graph, options: Optional[SolveOptions] = None) -> OptResult:
     if n == 0:
         return OptResult(0, (), 1, "brute_force", time.perf_counter() - t0)
     thr = majority_threshold(n, opts.threshold_mode)
-    closed = np.zeros((n, n), dtype=np.float32)
-    open_adj = np.zeros((n, n), dtype=np.float32)
-    for v in range(n):
-        closed[v, v] = 1.0
-        for u in g.adj[v]:
-            closed[v, u] = 1.0
-            open_adj[v, u] = 1.0
-    powers = 3 ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    total = 3**n
-    best_w: Optional[int] = None
-    best_code: Optional[int] = None
-    for start in range(0, total, _CHUNK):
-        codes = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        digits = (codes[:, None] // powers[None, :]) % 3
-        labels = _LABELS[digits]
-        lf = labels.astype(np.float32)
-        sums = lf @ closed.T
-        maj_ok = (sums >= 1.0).sum(axis=1) >= thr
-        has_two = ((labels == 2).astype(np.float32) @ open_adj.T) > 0.5
-        guard_ok = ~np.logical_and(labels == -1, ~has_two).any(axis=1)
-        valid = maj_ok & guard_ok
-        if valid.any():
-            w = lf.sum(axis=1)
-            w = np.where(valid, w, np.inf)
-            i = int(np.argmin(w))
-            if best_w is None or w[i] < best_w:
-                best_w = float(w[i])
-                best_code = int(codes[i])
-    if best_w is None:
-        raise InfeasibleError("no valid labeling found")
-    witness = tuple(
-        int(_LABELS[(best_code // int(p)) % 3]) for p in powers
+    h = max(0, n - _LOW)
+    high = range(h)
+    labels, minus_bits, low_w = _block(n - h)
+
+    # closed-sum rows of N[high] first (they change with the high labels),
+    # then the rest; after them one row of low 2-neighbours per vertex
+    touched = sorted(set(high).union(*(g.adj[u] for u in high)))
+    order = touched + [v for v in range(n) if v not in touched]
+    adj = np.zeros(2 * n * n, dtype=np.int16)
+    adj[
+        [i * n + u for i, v in enumerate(order) for u in (v, *g.adj[v])]
+        + [(n + v) * n + u for v in range(n) for u in g.adj[v]]
+    ] = 1
+    coef = adj.reshape(2, n, n)[:, :, h:, None] * _COEF
+    rows = _low_rows(coef.reshape(2 * n, n - h, 3))
+    k = len(touched)
+    touched_sums = rows[:k]
+    sat_rest = np.add.reduce(rows[k:n] >= 1, axis=0, dtype=np.int16)
+    low_twos = rows[n:]
+    # bit j: low vertex h+j is -1 with no low 2-neighbour
+    low_needy = np.add.reduce(
+        (low_twos[h:] == 0) * minus_bits, axis=0, dtype=np.int16
     )
+    all_low = (1 << (n - h)) - 1
+    if h:
+        # bit u: high vertex u has a low 2-neighbour
+        high_cov = np.add.reduce(
+            (low_twos[:h] > 0) * (1 << np.arange(h, dtype=np.int64))[:, None],
+            axis=0,
+        )
+        # per high vertex: its high neighbours and the bitmask of its low ones
+        high_adj = [[w for w in g.adj[u] if w < h] for u in high]
+        low_adj = [sum(1 << (w - h) for w in g.adj[u] if w >= h) for u in high]
+        # per vertex of N[high]: the high vertices in its closed neighbourhood
+        high_closed = [[u for u in high if u == v or u in g.adj[v]] for v in touched]
+
+    best_w: Optional[int] = None
+    best = None
+    for x in itertools.product(_LABELS, repeat=h):
+        sat = sat_rest
+        cover = 0
+        needy = 0
+        if h:
+            # a vertex of N[high] is satisfied when its low sum reaches
+            # 1 minus what its high closed neighbours add
+            cut = np.array(
+                [[1 - sum(x[u] for u in us)] for us in high_closed], dtype=np.int16
+            )
+            sat = sat + np.add.reduce(touched_sums >= cut, axis=0, dtype=np.int16)
+            for u in high:
+                if x[u] == 2:
+                    cover |= low_adj[u]
+                elif x[u] == -1 and all(x[w] != 2 for w in high_adj[u]):
+                    needy |= 1 << u
+        ok = (sat >= thr) & ((low_needy & (all_low & ~cover)) == 0)
+        if needy:
+            ok &= (high_cov & needy) == needy
+        if not ok.any():
+            continue
+        i = int(np.argmin(np.where(ok, low_w, np.int16(2 * n + 1))))
+        w = int(low_w[i]) + sum(x)
+        if best_w is None or w < best_w:
+            best_w = w
+            best = x + tuple(int(v) for v in labels[:, i])
+    if best is None:
+        raise InfeasibleError("no valid labeling found")
     return OptResult(
-        optimum=int(best_w),
-        witness=witness,
-        nodes_explored=total,
+        optimum=best_w,
+        witness=best,
+        nodes_explored=3**n,
         method="brute_force",
         elapsed=time.perf_counter() - t0,
     )

@@ -11,6 +11,8 @@ from typing import Optional, Tuple
 from .graph import Graph
 
 _INF = float("inf")
+# largest tree order the exhaustive gamma-set search accepts
+GAMMA_SET_CAP = 20
 
 
 class TreeError(ValueError):
@@ -101,7 +103,7 @@ def count_supports_leaves(t: Graph) -> Tuple[int, int]:
 
 
 def find_gamma_set_independent_complement(
-    t: Graph, cap: int = 20
+    t: Graph, cap: int = GAMMA_SET_CAP
 ) -> Optional[frozenset]:
     """Some minimum dominating set with independent complement, or None.
 

@@ -288,3 +288,14 @@ class TestTreeSupportLeafCert:
     def test_guard(self):
         with pytest.raises(CertificateError):
             cert_tree_support_leaf(cycle(5))
+
+    def test_threshold_mode_reaches_inner_solve(self):
+        # the stripped tree is solved in the requested mode, and on this
+        # tree the floor-mode extension is lighter than the ceil-mode one
+        t = random_tree(7, 22)
+        ceil_cert = cert_tree_support_leaf(t)
+        floor_cert = cert_tree_support_leaf(t, "floor")
+        assert ceil_cert.labeling == (2, 2, -1, 2, -1, -1, -1)
+        assert floor_cert.labeling == (-1, 2, -1, 2, -1, -1, -1)
+        assert validate(t, floor_cert.labeling, "floor").is_valid
+        assert cert_tree_support_leaf(t, "ceil").labeling == ceil_cert.labeling

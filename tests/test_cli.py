@@ -1,5 +1,7 @@
 """End-to-end CLI behavior through main(argv)."""
 
+import time
+
 import pytest
 
 from majroman.cli import main
@@ -32,6 +34,14 @@ class TestSolve:
     def test_requires_input(self, capsys):
         code, _, err = run(capsys, "solve")
         assert code == 1 and "error:" in err
+
+    def test_family_without_order(self, capsys):
+        code, _, err = run(capsys, "solve", "--family", "path")
+        assert code == 1 and "error: family path needs --n" in err
+
+    def test_family_missing_second_parameter(self, capsys):
+        code, _, err = run(capsys, "solve", "--family", "double_star", "--a", "2")
+        assert code == 1 and "error: family double_star needs --b" in err
 
 
 class TestGen:
@@ -75,6 +85,10 @@ class TestCert:
         code, _, err = run(capsys, "cert", "--theorem", "riemann", "--n", "5")
         assert code == 1 and "unknown certificate theorem" in err
 
+    def test_missing_parameter(self, capsys):
+        code, _, err = run(capsys, "cert", "--theorem", "join", "--n", "3")
+        assert code == 1 and "error: theorem join needs --m" in err
+
 
 class TestCheck:
     def test_star_strict_all_match(self, capsys):
@@ -114,6 +128,21 @@ class TestCheck:
             capsys, "check", "--theorem", "star", "--range", "2-12"
         )
         assert code == 1 and "malformed range" in err
+
+    @pytest.mark.parametrize("theorem", ["wheel", "join_complete"])
+    def test_missing_range(self, capsys, theorem):
+        code, _, err = run(capsys, "check", "--theorem", theorem)
+        assert code == 1 and "error: missing --range" in err
+
+    def test_tree_order_above_cap_fails_fast(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "check", "--theorem", "tree_bounds", "--range", "25..25"
+        )
+        assert time.perf_counter() - start < 5.0
+        assert code == 1
+        assert "error: tree order n=25 exceeds the gamma-set search cap 20" in err
+        assert "RESULT" not in out
 
 
 class TestBoundsAndLemma:

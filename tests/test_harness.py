@@ -15,6 +15,7 @@ from majroman.harness import (
 )
 from majroman.solver import SolveOptions, solve
 from majroman.graph import generate, join
+from majroman.trees import TreeError
 
 
 EXPECTED_COMPLETE_CSV = """spec,predicted,cert_weight,cert_valid,optimum,verdict
@@ -110,6 +111,25 @@ class TestTreeBounds:
             tag = r.spec.rsplit("/", 1)[1]
             if tag in ("support_leaf", "domination"):
                 assert r.verdict != "MISMATCH", r
+
+
+    def test_floor_mode_reaches_certificate(self):
+        spec = GraphSpec("random_tree", n=7, seed=22)
+        weights = {
+            mode: check("tree_bounds", [spec], SolveOptions(threshold_mode=mode))
+            .rows[0]
+            .cert_weight
+            for mode in ("ceil", "floor")
+        }
+        assert weights == {"ceil": 2, "floor": -1}
+
+    def test_order_above_gamma_cap_rejected_before_solving(self):
+        specs = [
+            GraphSpec("random_tree", n=5, seed=1),
+            GraphSpec("random_tree", n=25, seed=1),
+        ]
+        with pytest.raises(TreeError, match="n=25"):
+            check("tree_bounds", specs)
 
 
 class TestDeltaBound:

@@ -31,12 +31,12 @@ from majroman.solver import (
 from majroman.certificates import cert_star, cert_wheel_fan
 
 
-def enumerate_optimum(g):
+def enumerate_optimum(g, threshold_mode="ceil"):
     """Tiny-graph oracle: scan itertools.product in code order."""
     best = None
     best_labels = None
     for labels in itertools.product((-1, 1, 2), repeat=g.n):
-        if validate(g, labels).is_valid:
+        if validate(g, labels, threshold_mode).is_valid:
             w = weight(labels)
             if best is None or w < best:
                 best = w
@@ -111,6 +111,73 @@ class TestBruteForce:
                 g, SolveOptions(threshold_mode="floor")
             ).optimum
             assert floor_opt <= ceil_opt
+
+
+def disjoint_union(a, b):
+    shifted = [(u + a.n, v + a.n) for u, v in b.edges()]
+    return Graph(a.n + b.n, list(a.edges()) + shifted)
+
+
+def small_graphs():
+    """n = 0..8: edgeless, complete, disconnected and random graphs."""
+    out = [(f"E{n}", Graph(n, [])) for n in range(9)]
+    out += [(f"K{n}", complete(n)) for n in range(1, 9)]
+    out += [
+        ("P3+K2", disjoint_union(path(3), complete(2))),
+        ("Star4+K1", disjoint_union(star(4), Graph(1, []))),
+        ("C4+P4", disjoint_union(cycle(4), path(4))),
+        ("K3+E2+P2", disjoint_union(complete(3), disjoint_union(Graph(2, []), path(2)))),
+    ]
+    rng = random.Random(2024)
+    for n in range(1, 9):
+        for p in (0.3, 0.6):
+            out.append((f"G{n}_{p}", gnp(n, p, rng.randrange(2**32))))
+        out.append((f"T{n}", random_tree(n, rng.randrange(2**32))))
+    return [pytest.param(g, id=name) for name, g in out]
+
+
+# optima and witnesses of the earlier chunked enumeration, on orders that
+# span the 11-vertex low block and a swept high prefix
+FROZEN_WITNESSES = [
+    (random_tree(12, 12), "ceil", 1, (-1, -1, -1, 1, -1, 2, 1, 2, -1, -1, 2, -1)),
+    (random_tree(13, 13), "floor", 0, (-1, -1, -1, -1, 2, -1, -1, 1, -1, 1, 2, -1, 2)),
+    (random_tree(14, 14), "ceil", 1, (-1, 2, -1, -1, -1, -1, -1, -1, 2, -1, 2, 2, 2, -1)),
+    (gnp(13, 0.3, 13), "ceil", -1, (-1, -1, -1, -1, -1, 2, 2, -1, -1, 2, 2, -1, -1)),
+    (gnp(14, 0.3, 14), "floor", -4, (-1, 2, -1, -1, -1, -1, 2, -1, -1, -1, 1, -1, 1, -1)),
+    (wheel(13), "ceil", -4, (2, -1, -1, -1, -1, -1, -1, -1, 1, -1, -1, 1, 1)),
+]
+
+
+class TestBlockEnumeration:
+    @pytest.mark.parametrize("mode", ["ceil", "floor"])
+    @pytest.mark.parametrize("g", small_graphs())
+    def test_matches_pure_python_reference(self, g, mode):
+        value, labels = enumerate_optimum(g, mode)
+        res = brute_force(g, SolveOptions(threshold_mode=mode))
+        assert (res.optimum, res.witness) == (value, labels)
+        assert res.nodes_explored == 3**g.n
+
+    @pytest.mark.parametrize("mode", ["ceil", "floor"])
+    @pytest.mark.parametrize("n", [11, 12, 13, 14])
+    def test_block_boundary_agrees_with_branch_and_bound(self, n, mode):
+        opts = SolveOptions(threshold_mode=mode)
+        graphs = [
+            random_tree(n, n),
+            gnp(n, 0.3, n),
+            Graph(n, []),
+            disjoint_union(star(n - 4), cycle(4)),
+        ]
+        for g in graphs:
+            res = brute_force(g, opts)
+            assert res.nodes_explored == 3**n
+            assert res.optimum == branch_and_bound(g, opts).optimum
+            report = validate(g, res.witness, mode)
+            assert report.is_valid and report.weight == res.optimum
+
+    @pytest.mark.parametrize("g,mode,value,labels", FROZEN_WITNESSES)
+    def test_frozen_witnesses(self, g, mode, value, labels):
+        res = brute_force(g, SolveOptions(threshold_mode=mode))
+        assert (res.optimum, res.witness) == (value, labels)
 
 
 class TestBranchAndBound:
