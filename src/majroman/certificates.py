@@ -333,6 +333,22 @@ def cert_corona_floor(g_spec: GraphSpec, h_spec: GraphSpec) -> Certificate:
     )
 
 
+# family -> its certificate builder, taking the family's parameters in
+# GraphSpec field order. The lambdas look the builders up when called, so
+# a rebinding of a module attribute (such as a wrapper) is seen.
+CERTIFICATES = {
+    "complete": lambda n: cert_complete(n),
+    "star": lambda n: cert_star(n),
+    "wheel": lambda n: cert_wheel_fan(n, "wheel"),
+    "fan": lambda n: cert_wheel_fan(n, "fan"),
+    "complement_path": lambda n: cert_complement_path(n),
+    "complement_cycle": lambda n: cert_complement_cycle(n),
+    "complete_minus_matching": lambda n: cert_complete_minus_matching(n),
+    "join_complete": lambda m, n: cert_join_complete(m, n),
+    "corona_k3": lambda k: cert_corona_k3(k),
+}
+
+
 # ---------------------------------------------------------------------------
 # tree constructions
 

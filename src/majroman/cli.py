@@ -8,12 +8,14 @@ MISMATCH or CERT_INVALID (for CI). Usage errors exit 1.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from typing import List, Optional
 
 from . import certificates as certs
 from . import formulas, harness
 from .graph import (
+    FAMILIES,
     GraphError,
     GraphSpec,
     generate,
@@ -21,7 +23,7 @@ from .graph import (
     serialize_edge_list,
 )
 from .labeling import serialize_labeling, validate
-from .solver import SolveOptions, delta_lower_bound, solve
+from .solver import SolveOptions, SolverError, delta_lower_bound, solve
 from .trees import TreeError, tree_profile
 
 
@@ -35,20 +37,9 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-_FAMILIES = (
-    "path cycle complete star double_star wheel fan complement_path "
-    "complement_cycle complete_minus_matching join_complete corona_k3 "
-    "random_tree"
-).split()
-
-
-# GraphSpec field -> command-line flag, for families that take more than --n
-_SPEC_FLAGS = {
-    "double_star": (("n", "a"), ("m", "b")),
-    "join_complete": (("m", "m"), ("n", "n")),
-    "corona_k3": (("k", "k"),),
-    "random_tree": (("n", "n"), ("seed", "seed")),
-}
+# command-line flags of the families whose flags differ from their
+# GraphSpec fields
+_FLAG_ALIASES = {"double_star": ("a", "b")}
 
 
 def _required(args, flags, what: str) -> list:
@@ -59,13 +50,16 @@ def _required(args, flags, what: str) -> list:
     return [getattr(args, f) for f in flags]
 
 
+def _spec_flags(family: str) -> tuple:
+    """The command-line flags of a family's parameters, in field order."""
+    return _FLAG_ALIASES.get(family, FAMILIES[family].fields)
+
+
 def _spec_from_args(args) -> GraphSpec:
     fam = args.family
-    if fam not in _FAMILIES:
-        raise CliError(f"unknown family {fam!r}; choose from {_FAMILIES}")
-    fields = _SPEC_FLAGS.get(fam, (("n", "n"),))
-    values = _required(args, [flag for _, flag in fields], f"family {fam}")
-    return GraphSpec(fam, **{field: v for (field, _), v in zip(fields, values)})
+    if fam not in FAMILIES:
+        raise CliError(f"unknown family {fam!r}; choose from {list(FAMILIES)}")
+    return GraphSpec.of(fam, *_required(args, _spec_flags(fam), f"family {fam}"))
 
 
 def _load_graph(args):
@@ -85,9 +79,12 @@ def _parse_range(text: Optional[str]) -> range:
         raise CliError(f"malformed range {text!r}; expected A..B")
     lo, hi = text.split("..", 1)
     try:
-        return range(int(lo), int(hi) + 1)
+        r = range(int(lo), int(hi) + 1)
     except ValueError:
         raise CliError(f"malformed range {text!r}; expected integers")
+    if not r:
+        raise CliError(f"empty range {text!r}; expected A <= B")
+    return r
 
 
 def _solve_options(args) -> SolveOptions:
@@ -134,18 +131,15 @@ def cmd_gen(args) -> int:
     return 0
 
 
-# theorem -> (flags it needs, certificate builder)
-_CERT_THEOREMS = {
-    "complete": (("n",), certs.cert_complete),
-    "star": (("n",), certs.cert_star),
-    "join": (("m", "n"), certs.cert_join_complete),
-    "wheel": (("n",), lambda n: certs.cert_wheel_fan(n, "wheel")),
-    "fan": (("n",), lambda n: certs.cert_wheel_fan(n, "fan")),
-    "cpath": (("n",), certs.cert_complement_path),
-    "ccycle": (("n",), certs.cert_complement_cycle),
-    "kminusm": (("n",), certs.cert_complete_minus_matching),
-    "corona_k3": (("k",), certs.cert_corona_k3),
+# shorter command-line names of some certificate theorems
+_CERT_ALIASES = {
+    "join_complete": "join",
+    "complement_path": "cpath",
+    "complement_cycle": "ccycle",
+    "complete_minus_matching": "kminusm",
 }
+# certificate theorem -> its family
+_CERT_THEOREMS = {_CERT_ALIASES.get(f, f): f for f in certs.CERTIFICATES}
 
 
 def cmd_cert(args) -> int:
@@ -154,10 +148,10 @@ def cmd_cert(args) -> int:
             f"unknown certificate theorem {args.theorem!r}; "
             f"choose from {sorted(_CERT_THEOREMS)}"
         )
-    flags, build = _CERT_THEOREMS[args.theorem]
-    values = _required(args, flags, f"theorem {args.theorem}")
+    family = _CERT_THEOREMS[args.theorem]
+    values = _required(args, FAMILIES[family].fields, f"theorem {args.theorem}")
     _warn_floor(args)
-    cert = build(*values)
+    cert = certs.CERTIFICATES[family](*values)
     print(f"source:       {cert.source} ({cert.transcription})")
     print(f"labeling:     {serialize_labeling(cert.labeling)}")
     print(f"claimed:      {cert.claimed_weight}")
@@ -183,25 +177,18 @@ def cmd_check(args) -> int:
     _warn_floor(args)
     opts = _solve_options(args)
     theorem = args.theorem
-    if theorem in (
-        "complete",
-        "star",
-        "wheel",
-        "fan",
-        "complement_path",
-        "complement_cycle",
-        "complete_minus_matching",
-        "corona_k3",
-    ):
-        params = list(_parse_range(args.range))
-    elif theorem == "join_complete":
+    if theorem in formulas.EXACT_VALUES:
         r = _parse_range(args.range)
-        params = [
-            (m, n)
-            for m in r
-            for n in r
-            if 2 <= m <= n and m != 3 and n != 3
-        ]
+        arity = len(FAMILIES[theorem].fields)
+        if arity == 1:
+            params = list(r)
+        else:
+            # every parameter tuple over the range that the value covers
+            params = [
+                p
+                for p in itertools.product(r, repeat=arity)
+                if formulas.exact_value(theorem, *p) is not None
+            ]
     elif theorem in ("corona_upper", "corona_lower"):
         params = harness.corona_audit_instances()
     elif theorem == "tree_bounds":
@@ -275,19 +262,16 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_lemma(args) -> int:
-    checked = 0
-    failures = []
-    for n in range(1, args.n_max + 1):
-        for m in range(3, args.m_max + 1):
-            checked += 1
-            if not formulas.lemma_inequality_holds(n, m):
-                failures.append((n, m))
-    grid = f"{args.n_max}x{args.m_max - 2}"
+    if args.n_max < 1:
+        raise CliError("--n-max must be >= 1")
+    if args.m_max < 3:
+        raise CliError("--m-max must be >= 3")
+    failures = formulas.lemma_failures(args.n_max, args.m_max)
     if failures:
         print(f"inequality FAILS at {failures[:10]} (showing up to 10)")
     else:
-        print(f"inequality holds on {grid} grid")
-    print(f"RESULT holds={not failures} checked={checked}")
+        print(f"inequality holds on {args.n_max}x{args.m_max - 2} grid")
+    print(f"RESULT holds={not failures} checked={args.n_max * (args.m_max - 2)}")
     return 0 if not failures else 2
 
 
@@ -305,7 +289,12 @@ def _add_family_args(p) -> None:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="majroman", description=__doc__)
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="accepted for compatibility; the search is serial and ignores it",
+    )
     parser.add_argument(
         "--threshold-mode", choices=["ceil", "floor"], default="ceil"
     )
@@ -359,13 +348,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (GraphError, TreeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (CliError, GraphError, TreeError, SolverError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -155,8 +155,42 @@ def lemma_inequality_holds(n: int, m: int) -> bool:
     return (n // m) * m + n <= ceil_div(n * m + n, 2)
 
 
+def lemma_failures(n_max: int, m_max: int) -> List[Tuple[int, int]]:
+    """The (n, m) with 1 <= n <= n_max and 3 <= m <= m_max where the
+    lemma inequality fails, in row order."""
+    return [
+        (n, m)
+        for n in range(1, n_max + 1)
+        for m in range(3, m_max + 1)
+        if not lemma_inequality_holds(n, m)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # prediction dispatch
+
+
+# exact family -> (value function, why it is inapplicable); each value
+# function raises ValueError outside its guard
+EXACT_VALUES = {
+    "complete": (complete_value, "needs n >= 2"),
+    "star": (star_value, "needs n >= 2"),
+    "wheel": (wheel_value, "needs n >= 4"),
+    "fan": (fan_value, "needs n >= 4"),
+    "complement_path": (complement_path_value, "needs n >= 12"),
+    "complement_cycle": (complement_cycle_value, "needs n >= 12"),
+    "complete_minus_matching": (complete_minus_matching_value, "needs n >= 3"),
+    "join_complete": (join_complete_value, "needs 2 <= m <= n and m, n != 3"),
+    "corona_k3": (corona_k3_value, "needs k >= 1"),
+}
+
+
+def exact_value(family: str, *params) -> Optional[int]:
+    """An exact family's value at its parameters, or None outside its guard."""
+    try:
+        return EXACT_VALUES[family][0](*params)
+    except ValueError:
+        return None
 
 
 def predict(spec: GraphSpec) -> List[Prediction]:
@@ -167,64 +201,12 @@ def predict(spec: GraphSpec) -> List[Prediction]:
     """
     f = spec.family
     out: List[Prediction] = []
-    if f == "complete":
-        if spec.n >= 2:
-            out.append(Prediction("exact", "complete", complete_value(spec.n)))
+    if f in EXACT_VALUES:
+        value = exact_value(f, *spec.params())
+        if value is None:
+            out.append(Prediction.inapplicable("exact", f, EXACT_VALUES[f][1]))
         else:
-            out.append(Prediction.inapplicable("exact", "complete", "needs n >= 2"))
-    elif f == "join_complete":
-        m, n = spec.m, spec.n
-        if 2 <= m <= n and m != 3 and n != 3:
-            out.append(Prediction("exact", "join_complete", 1))
-        else:
-            out.append(
-                Prediction.inapplicable(
-                    "exact", "join_complete", "needs 2 <= m <= n and m, n != 3"
-                )
-            )
-    elif f == "wheel":
-        if spec.n >= 4:
-            out.append(Prediction("exact", "wheel", wheel_value(spec.n)))
-        else:
-            out.append(Prediction.inapplicable("exact", "wheel", "needs n >= 4"))
-    elif f == "fan":
-        if spec.n >= 4:
-            out.append(Prediction("exact", "fan", fan_value(spec.n)))
-        else:
-            out.append(Prediction.inapplicable("exact", "fan", "needs n >= 4"))
-    elif f == "star":
-        if spec.n >= 2:
-            out.append(Prediction("exact", "star", star_value(spec.n)))
-        else:
-            out.append(Prediction.inapplicable("exact", "star", "needs n >= 2"))
-    elif f == "complement_path":
-        if spec.n >= 12:
-            out.append(Prediction("exact", "complement_path", -1))
-        else:
-            out.append(
-                Prediction.inapplicable("exact", "complement_path", "needs n >= 12")
-            )
-    elif f == "complement_cycle":
-        if spec.n >= 12:
-            out.append(Prediction("exact", "complement_cycle", -1))
-        else:
-            out.append(
-                Prediction.inapplicable("exact", "complement_cycle", "needs n >= 12")
-            )
-    elif f == "complete_minus_matching":
-        if spec.n >= 3:
-            out.append(Prediction("exact", "complete_minus_matching", 0))
-        else:
-            out.append(
-                Prediction.inapplicable(
-                    "exact", "complete_minus_matching", "needs n >= 3"
-                )
-            )
-    elif f == "corona_k3":
-        if spec.k >= 1:
-            out.append(Prediction("exact", "corona_k3", -spec.k))
-        else:
-            out.append(Prediction.inapplicable("exact", "corona_k3", "needs k >= 1"))
+            out.append(Prediction("exact", f, value))
     elif f == "corona":
         g_spec, h_spec = spec.parts
         g = generate(g_spec)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Tuple
 
 
 class GraphError(ValueError):
@@ -31,12 +31,10 @@ class GraphError(ValueError):
 class Graph:
     """Immutable simple graph on vertices 0..n-1.
 
-    Adjacency is stored both as frozensets (queries) and as per-vertex
-    bitmasks (fast membership in the solver). Instances are safe to share
-    across threads.
+    Adjacency is stored as one frozenset of neighbours per vertex.
     """
 
-    __slots__ = ("n", "adj", "masks")
+    __slots__ = ("n", "adj")
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]]) -> None:
         if n < 0:
@@ -51,7 +49,6 @@ class Graph:
             adj[v].add(u)
         self.n = n
         self.adj = tuple(frozenset(s) for s in adj)
-        self.masks = tuple(sum(1 << u for u in s) for s in self.adj)
 
     # -- queries -----------------------------------------------------------
 
@@ -210,6 +207,8 @@ def random_tree(n: int, seed: int) -> Graph:
     Driven by ``random.Random(seed)`` (Mersenne Twister), so reproducible
     for a fixed seed.
     """
+    if seed is None:
+        raise GraphError("RandomTree requires a seed")
     if n < 1:
         raise GraphError("RandomTree requires n >= 1")
     if n == 1:
@@ -291,17 +290,78 @@ def corona(g: Graph, h: Graph) -> Graph:
 
 
 # ---------------------------------------------------------------------------
+# families built from combinators
+
+
+def complement_path(n: int) -> Graph:
+    if n is None or n < 2:
+        raise GraphError("ComplementPath requires n >= 2")
+    return complement(path(n))
+
+
+def complement_cycle(n: int) -> Graph:
+    if n is None or n < 3:
+        raise GraphError("ComplementCycle requires n >= 3")
+    return complement(cycle(n))
+
+
+def join_complete(m: int, n: int) -> Graph:
+    """K_m v K_n: the K_m side is vertices 0..m-1."""
+    if m is None or n is None or m < 1 or n < 1:
+        raise GraphError("JoinComplete requires m >= 1 and n >= 1")
+    return join(complete(m), complete(n))
+
+
+def corona_k3(k: int) -> Graph:
+    """K_{3k} o K_3."""
+    if k is None or k < 1:
+        raise GraphError("CoronaK3K3 requires k >= 1")
+    return corona(complete(3 * k), complete(3))
+
+
+# ---------------------------------------------------------------------------
 # symbolic family specs
+
+
+class Family(NamedTuple):
+    """A parametrized family: the GraphSpec fields it reads, in the order
+    its builder and its label take them."""
+
+    fields: Tuple[str, ...]
+    build: Callable[..., Graph]
+    label: Callable[..., str]
+
+
+# every family a GraphSpec can name, except the two special cases
+# "corona" (two component specs) and "from_file" (an edge-list path)
+FAMILIES = {
+    "path": Family(("n",), path, lambda n: f"P_{n}"),
+    "cycle": Family(("n",), cycle, lambda n: f"C_{n}"),
+    "complete": Family(("n",), complete, lambda n: f"K_{n}"),
+    "star": Family(("n",), star, lambda n: f"Star_{n}"),
+    "double_star": Family(("n", "m"), double_star, lambda n, m: f"DS_{n}_{m}"),
+    "wheel": Family(("n",), wheel, lambda n: f"W_{n}"),
+    "fan": Family(("n",), fan, lambda n: f"F_{n}"),
+    "complement_path": Family(("n",), complement_path, lambda n: f"Pbar_{n}"),
+    "complement_cycle": Family(("n",), complement_cycle, lambda n: f"Cbar_{n}"),
+    "complete_minus_matching": Family(
+        ("n",), complete_minus_matching, lambda n: f"K{2 * n}-M"
+    ),
+    "join_complete": Family(("m", "n"), join_complete, lambda m, n: f"K_{m}vK_{n}"),
+    "corona_k3": Family(("k",), corona_k3, lambda k: f"K_{3 * k}oK_3"),
+    "random_tree": Family(
+        ("n", "seed"), random_tree, lambda n, seed: f"T_n{n}_s{seed}"
+    ),
+}
 
 
 @dataclass(frozen=True)
 class GraphSpec:
     """Symbolic description of a graph family plus parameters.
 
-    Families: path, cycle, complete, star, double_star (a=n, b=m), wheel,
-    fan, complement_path, complement_cycle, complete_minus_matching (order
-    2n), join_complete (m, n), corona_k3 (k), corona (parts), random_tree
-    (n, seed), from_file (path).
+    ``family`` is a key of ``FAMILIES`` (double_star takes a=n, b=m;
+    complete_minus_matching has order 2n), or "corona" (parts) or
+    "from_file" (path).
     """
 
     family: str
@@ -312,87 +372,38 @@ class GraphSpec:
     parts: Optional[Tuple["GraphSpec", "GraphSpec"]] = None
     path: Optional[str] = None
 
+    @classmethod
+    def of(cls, family: str, *params) -> "GraphSpec":
+        """The spec of a ``FAMILIES`` entry from its parameters in order."""
+        return cls(family, **dict(zip(FAMILIES[family].fields, params)))
+
+    def params(self) -> tuple:
+        """The parameters of a ``FAMILIES`` entry, in its field order."""
+        return tuple(getattr(self, f) for f in FAMILIES[self.family].fields)
+
     def label(self) -> str:
         f = self.family
-        if f == "path":
-            return f"P_{self.n}"
-        if f == "cycle":
-            return f"C_{self.n}"
-        if f == "complete":
-            return f"K_{self.n}"
-        if f == "star":
-            return f"Star_{self.n}"
-        if f == "double_star":
-            return f"DS_{self.n}_{self.m}"
-        if f == "wheel":
-            return f"W_{self.n}"
-        if f == "fan":
-            return f"F_{self.n}"
-        if f == "complement_path":
-            return f"Pbar_{self.n}"
-        if f == "complement_cycle":
-            return f"Cbar_{self.n}"
-        if f == "complete_minus_matching":
-            return f"K{2 * self.n}-M"
-        if f == "join_complete":
-            return f"K_{self.m}vK_{self.n}"
-        if f == "corona_k3":
-            return f"K_{3 * self.k}oK_3"
         if f == "corona":
             return f"{self.parts[0].label()}o{self.parts[1].label()}"
-        if f == "random_tree":
-            return f"T_n{self.n}_s{self.seed}"
         if f == "from_file":
             return f"file:{self.path}"
+        if f in FAMILIES:
+            return FAMILIES[f].label(*self.params())
         return f
 
 
 def generate(spec: GraphSpec) -> Graph:
     """Build the graph for a spec under the documented vertex ordering."""
     f = spec.family
-    if f == "path":
-        return path(spec.n)
-    if f == "cycle":
-        return cycle(spec.n)
-    if f == "complete":
-        return complete(spec.n)
-    if f == "star":
-        return star(spec.n)
-    if f == "double_star":
-        return double_star(spec.n, spec.m)
-    if f == "wheel":
-        return wheel(spec.n)
-    if f == "fan":
-        return fan(spec.n)
-    if f == "complement_path":
-        if spec.n is None or spec.n < 2:
-            raise GraphError("ComplementPath requires n >= 2")
-        return complement(path(spec.n))
-    if f == "complement_cycle":
-        if spec.n is None or spec.n < 3:
-            raise GraphError("ComplementCycle requires n >= 3")
-        return complement(cycle(spec.n))
-    if f == "complete_minus_matching":
-        return complete_minus_matching(spec.n)
-    if f == "join_complete":
-        if spec.m is None or spec.n is None or spec.m < 1 or spec.n < 1:
-            raise GraphError("JoinComplete requires m >= 1 and n >= 1")
-        return join(complete(spec.m), complete(spec.n))
-    if f == "corona_k3":
-        if spec.k is None or spec.k < 1:
-            raise GraphError("CoronaK3K3 requires k >= 1")
-        return corona(complete(3 * spec.k), complete(3))
     if f == "corona":
         if spec.parts is None:
             raise GraphError("Corona requires two component specs")
         return corona(generate(spec.parts[0]), generate(spec.parts[1]))
-    if f == "random_tree":
-        if spec.seed is None:
-            raise GraphError("RandomTree requires a seed")
-        return random_tree(spec.n, spec.seed)
     if f == "from_file":
         with open(spec.path, encoding="utf-8") as fh:
             return parse_edge_list(fh.read())
+    if f in FAMILIES:
+        return FAMILIES[f].build(*spec.params())
     raise GraphError(f"unknown family {f!r}")
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -34,7 +34,7 @@ from .solver import (
     SolveOptions,
     branch_and_bound,
     brute_force,
-    solve,
+    choose_method,
 )
 from .trees import (
     GAMMA_SET_CAP,
@@ -71,22 +71,12 @@ class TheoremReport:
 
 def _exact(g: Graph, opts: SolveOptions, seed_labeling=None):
     """Solve exactly, or return None when beyond the configured caps."""
-    method = opts.method
-    if method == "auto":
-        method = "brute" if g.n <= min(12, opts.brute_cap) else "bb"
     try:
-        if method == "brute":
+        if choose_method(g, opts) == "brute":
             res = brute_force(g, opts)
         else:
-            local = SolveOptions(
-                method="bb",
-                thread_count=opts.thread_count,
-                seed_labeling=seed_labeling or opts.seed_labeling,
-                node_limit=opts.node_limit,
-                threshold_mode=opts.threshold_mode,
-                brute_cap=opts.brute_cap,
-            )
-            res = branch_and_bound(g, local)
+            seed = seed_labeling or opts.seed_labeling
+            res = branch_and_bound(g, replace(opts, seed_labeling=seed))
     except CapExceededError:
         return None
     return res if res.proven else None
@@ -104,47 +94,16 @@ def _bound_verdict(optimum, bound, kind) -> str:
     return "BOUND_TIGHT" if optimum == bound else "BOUND_HOLDS"
 
 
-_EXACT_FAMILIES = {
-    "complete": (lambda n: GraphSpec("complete", n=n), lambda n: certs.cert_complete(n)),
-    "star": (lambda n: GraphSpec("star", n=n), lambda n: certs.cert_star(n)),
-    "wheel": (
-        lambda n: GraphSpec("wheel", n=n),
-        lambda n: certs.cert_wheel_fan(n, "wheel"),
-    ),
-    "fan": (
-        lambda n: GraphSpec("fan", n=n),
-        lambda n: certs.cert_wheel_fan(n, "fan"),
-    ),
-    "complement_path": (
-        lambda n: GraphSpec("complement_path", n=n),
-        lambda n: certs.cert_complement_path(n),
-    ),
-    "complement_cycle": (
-        lambda n: GraphSpec("complement_cycle", n=n),
-        lambda n: certs.cert_complement_cycle(n),
-    ),
-    "complete_minus_matching": (
-        lambda n: GraphSpec("complete_minus_matching", n=n),
-        lambda n: certs.cert_complete_minus_matching(n),
-    ),
-    "corona_k3": (
-        lambda k: GraphSpec("corona_k3", k=k),
-        lambda k: certs.cert_corona_k3(k),
-    ),
-}
-
-
 def _check_exact_family(theorem: str, params, opts) -> TheoremReport:
-    spec_of, cert_of = _EXACT_FAMILIES[theorem]
+    """Rows for an exact family; ``params`` holds its orders, or tuples of
+    its parameters when it takes more than one."""
     report = TheoremReport(theorem)
     for p in params:
-        spec = spec_of(p)
+        values = p if isinstance(p, tuple) else (p,)
+        spec = GraphSpec.of(theorem, *values)
         g = generate(spec)
-        predictions = [
-            pr for pr in formulas.predict(spec) if pr.kind == "exact" and pr.applicable
-        ]
-        predicted = predictions[0].value if predictions else None
-        cert = cert_of(p)
+        predicted = formulas.exact_value(theorem, *values)
+        cert = certs.CERTIFICATES[theorem](*values)
         cert_report = validate(g, cert.labeling, opts.threshold_mode)
         seed = cert.labeling if cert_report.is_valid else None
         res = _exact(g, opts, seed_labeling=seed)
@@ -161,38 +120,6 @@ def _check_exact_family(theorem: str, params, opts) -> TheoremReport:
             ReportRow(
                 spec=spec.label(),
                 predicted=predicted,
-                cert_weight=cert_report.weight,
-                cert_valid=cert_report.is_valid,
-                cert_defects=cert.defects,
-                optimum=optimum,
-                verdict=verdict,
-            )
-        )
-    return report
-
-
-def _check_join_complete(params, opts) -> TheoremReport:
-    report = TheoremReport("join_complete")
-    for m, n in params:
-        spec = GraphSpec("join_complete", m=m, n=n)
-        g = generate(spec)
-        cert = certs.cert_join_complete(m, n)
-        cert_report = validate(g, cert.labeling, opts.threshold_mode)
-        seed = cert.labeling if cert_report.is_valid else None
-        res = _exact(g, opts, seed_labeling=seed)
-        optimum = res.optimum if res else None
-        if optimum is None:
-            verdict = "UNPROVEN"
-        elif not cert_report.is_valid:
-            verdict = "CERT_INVALID"
-        elif optimum == 1:
-            verdict = "MATCH"
-        else:
-            verdict = "MISMATCH"
-        report.rows.append(
-            ReportRow(
-                spec=spec.label(),
-                predicted=1,
                 cert_weight=cert_report.weight,
                 cert_valid=cert_report.is_valid,
                 cert_defects=cert.defects,
@@ -407,11 +334,7 @@ def _check_subadditivity(params, opts) -> TheoremReport:
 
 def _check_lemma(params, opts) -> TheoremReport:
     n_max, m_max = params
-    holds = all(
-        formulas.lemma_inequality_holds(n, m)
-        for n in range(1, n_max + 1)
-        for m in range(3, m_max + 1)
-    )
+    holds = not formulas.lemma_failures(n_max, m_max)
     report = TheoremReport("lemma")
     report.rows.append(
         ReportRow(
@@ -432,17 +355,16 @@ def check(
 ) -> TheoremReport:
     """Run one theorem check over a parameter iterable.
 
-    Parameter meanings per theorem: family checks take orders n (or k for
-    the K_3 corona); ``join_complete``, ``corona_upper``, ``corona_lower``
-    and ``subadditivity`` take pairs; ``tree_bounds`` takes random-tree
+    Parameter meanings per theorem: exact family checks take orders n (or
+    k for the K_3 corona), and ``join_complete`` takes (m, n) pairs;
+    ``corona_upper``, ``corona_lower`` and ``subadditivity`` take spec
+    pairs; ``tree_bounds`` takes random-tree
     specs; ``delta_bound`` takes (label, graph) pairs; ``lemma`` takes
     (n_max, m_max).
     """
     opts = solve_options or SolveOptions()
-    if theorem_id in _EXACT_FAMILIES:
+    if theorem_id in formulas.EXACT_VALUES:
         return _check_exact_family(theorem_id, params, opts)
-    if theorem_id == "join_complete":
-        return _check_join_complete(params, opts)
     if theorem_id == "corona_upper":
         return _check_corona_upper(params, opts)
     if theorem_id == "corona_lower":

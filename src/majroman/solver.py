@@ -22,9 +22,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
@@ -51,6 +49,7 @@ class InfeasibleError(SolverError):
 @dataclass
 class SolveOptions:
     method: str = "auto"  # auto | brute | bb
+    # accepted for compatibility; the search is serial and ignores it
     thread_count: int = 1
     initial_upper_bound: Optional[int] = None
     seed_labeling: Optional[Tuple[int, ...]] = None
@@ -215,23 +214,8 @@ def brute_force(g: Graph, options: Optional[SolveOptions] = None) -> OptResult:
     )
 
 
-class _Incumbent:
-    """Monotonically improving best solution, shareable across workers."""
-
-    def __init__(self, weight: int, witness: Optional[Tuple[int, ...]]):
-        self.weight = weight
-        self.witness = witness
-        self._lock = threading.Lock()
-
-    def try_update(self, weight: int, witness: Tuple[int, ...]) -> None:
-        with self._lock:
-            if weight < self.weight:
-                self.weight = weight
-                self.witness = witness
-
-
 class _Search:
-    """One DFS worker over partial labelings.
+    """DFS over partial labelings, holding the best labeling found so far.
 
     Pruning rules (all safe):
     (a) optimistic completion: current weight plus -1 per unassigned
@@ -243,11 +227,12 @@ class _Search:
         than n - threshold of them exist.
     """
 
-    def __init__(self, g: Graph, order, incumbent, allowed_unsat, node_limit):
+    def __init__(self, g: Graph, order, weight, witness, allowed_unsat, node_limit):
         n = g.n
         self.n = n
         self.order = order
-        self.incumbent = incumbent
+        self.weight = weight
+        self.witness = witness
         self.allowed_unsat = allowed_unsat
         self.node_limit = node_limit
         self.closed_nbrs = [sorted(g.adj[v] | {v}) for v in range(n)]
@@ -320,9 +305,11 @@ class _Search:
         if depth == n:
             # every leaf reached here satisfies both conditions: guard and
             # majority deaths were pruned on the way down
-            self.incumbent.try_update(cur_w, tuple(self.label))
+            if cur_w < self.weight:
+                self.weight = cur_w
+                self.witness = tuple(self.label)
             return
-        if cur_w - (n - depth) >= self.incumbent.weight:
+        if cur_w - (n - depth) >= self.weight:
             return
         if self.node_limit is not None and self.nodes >= self.node_limit:
             self.truncated = True
@@ -344,10 +331,8 @@ def branch_and_bound(
     """Exact optimum by pruned DFS; same value as brute_force.
 
     Branching order is descending degree (ties by index), value order
-    (-1, +1, 2). With ``thread_count == 1`` the witness is the
-    lexicographically smallest optimum in branching order and node counts
-    are reproducible; parallel runs return the same optimum but may return
-    any optimal witness.
+    (-1, +1, 2). The witness is the lexicographically smallest optimum in
+    branching order, and node counts are reproducible.
 
     ``seed_labeling`` seeds the incumbent with a known valid labeling.
     ``initial_upper_bound`` alone must be a weight known to be achievable
@@ -368,78 +353,47 @@ def branch_and_bound(
         report = validate(g, opts.seed_labeling, opts.threshold_mode)
         if not report.is_valid:
             raise SolverError("seed_labeling is not a valid labeling")
-        incumbent = _Incumbent(report.weight, tuple(opts.seed_labeling))
+        weight, witness = report.weight, tuple(opts.seed_labeling)
     elif opts.initial_upper_bound is not None:
-        incumbent = _Incumbent(opts.initial_upper_bound + 1, None)
+        weight, witness = opts.initial_upper_bound + 1, None
     else:
-        incumbent = _Incumbent(2 * n, tuple([2] * n))
+        weight, witness = 2 * n, tuple([2] * n)
 
-    truncated = False
-    if opts.thread_count == 1:
-        search = _Search(g, order, incumbent, allowed_unsat, opts.node_limit)
-        search.dfs(0, 0)
-        nodes = search.nodes
-        truncated = search.truncated
-    else:
-        depth = 1
-        while 3**depth < 4 * opts.thread_count and depth < n:
-            depth += 1
-        prefixes = [[]]
-        for _ in range(depth):
-            prefixes = [p + [x] for p in prefixes for x in (-1, 1, 2)]
-        counts = []
-
-        def run_prefix(prefix):
-            search = _Search(g, order, incumbent, allowed_unsat, opts.node_limit)
-            cur_w = 0
-            stop = len(prefix)
-            for i, x in enumerate(prefix):
-                search.nodes += 1
-                if not search.assign(order[i], x):
-                    stop = i + 1
-                    break
-                cur_w += x
-            else:
-                search.dfs(depth, cur_w)
-            # worker-local arrays are discarded; no unwind needed
-            del stop
-            return search.nodes, search.truncated
-
-        with ThreadPoolExecutor(max_workers=opts.thread_count) as pool:
-            for node_count, trunc in pool.map(run_prefix, prefixes):
-                counts.append(node_count)
-                truncated = truncated or trunc
-        nodes = sum(counts)
-
-    if incumbent.witness is None:
-        if opts.initial_upper_bound is not None and not truncated:
+    search = _Search(g, order, weight, witness, allowed_unsat, opts.node_limit)
+    search.dfs(0, 0)
+    if search.witness is None:
+        if opts.initial_upper_bound is not None and not search.truncated:
             raise SolverError(
                 "initial_upper_bound was not achievable; pass a valid "
                 "seed_labeling instead"
             )
         raise InfeasibleError("search found no valid labeling")
     return OptResult(
-        optimum=incumbent.weight,
-        witness=incumbent.witness,
-        nodes_explored=nodes,
+        optimum=search.weight,
+        witness=search.witness,
+        nodes_explored=search.nodes,
         method="branch_and_bound",
         elapsed=time.perf_counter() - t0,
-        proven=not truncated,
+        proven=not search.truncated,
     )
+
+
+def choose_method(g: Graph, opts: SolveOptions) -> str:
+    """The method ``solve`` runs: "brute" or "bb". "auto" picks brute
+    force when n is at most 12 and within ``brute_cap``."""
+    if opts.method == "auto":
+        return "brute" if g.n <= min(12, opts.brute_cap) else "bb"
+    if opts.method in ("brute", "bb"):
+        return opts.method
+    raise SolverError(f"unknown method {opts.method!r}")
 
 
 def solve(g: Graph, options: Optional[SolveOptions] = None) -> OptResult:
     """Dispatch on method: "brute", "bb", or "auto" (brute for small n)."""
     opts = options or SolveOptions()
-    if opts.method == "brute":
+    if choose_method(g, opts) == "brute":
         return brute_force(g, opts)
-    if opts.method == "bb":
-        return branch_and_bound(g, opts)
-    if opts.method == "auto":
-        if g.n <= min(12, opts.brute_cap):
-            return brute_force(g, opts)
-        return branch_and_bound(g, opts)
-    raise SolverError(f"unknown method {opts.method!r}")
+    return branch_and_bound(g, opts)
 
 
 def delta_lower_bound(g: Graph) -> Fraction:

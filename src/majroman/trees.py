@@ -115,7 +115,8 @@ def find_gamma_set_independent_complement(
         raise TreeError(f"n={t.n} exceeds exhaustive cap {cap}")
     gamma = domination_number(t)
     full = (1 << t.n) - 1
-    closed_masks = [t.masks[v] | (1 << v) for v in range(t.n)]
+    masks = [sum(1 << u for u in t.adj[v]) for v in range(t.n)]
+    closed_masks = [masks[v] | (1 << v) for v in range(t.n)]
     for combo in combinations(range(t.n), gamma):
         covered = 0
         for v in combo:
@@ -123,7 +124,7 @@ def find_gamma_set_independent_complement(
         if covered != full:
             continue
         outside = [v for v in range(t.n) if v not in combo]
-        if all(not (t.masks[u] >> v) & 1 for u in outside for v in outside):
+        if all(not (masks[u] >> v) & 1 for u in outside for v in outside):
             return frozenset(combo)
     return None
 

@@ -1,10 +1,15 @@
 """End-to-end CLI behavior through main(argv)."""
 
+import itertools
 import time
 
 import pytest
 
-from majroman.cli import main
+from majroman.certificates import CERTIFICATES
+from majroman.cli import _spec_flags, main
+from majroman.formulas import EXACT_VALUES, exact_value, predict
+from majroman.graph import FAMILIES, GraphError, GraphSpec, generate
+from majroman.labeling import validate
 
 
 def run(capsys, *argv):
@@ -42,6 +47,14 @@ class TestSolve:
     def test_family_missing_second_parameter(self, capsys):
         code, _, err = run(capsys, "solve", "--family", "double_star", "--a", "2")
         assert code == 1 and "error: family double_star needs --b" in err
+
+    def test_brute_force_above_cap(self, capsys):
+        code, out, err = run(
+            capsys, "solve", "--family", "wheel", "--n", "20", "--method", "brute"
+        )
+        assert code == 1
+        assert "error: n=20 exceeds brute-force cap 16" in err
+        assert "RESULT" not in out
 
 
 class TestGen:
@@ -134,6 +147,13 @@ class TestCheck:
         code, _, err = run(capsys, "check", "--theorem", theorem)
         assert code == 1 and "error: missing --range" in err
 
+    def test_empty_range(self, capsys):
+        code, out, err = run(
+            capsys, "check", "--theorem", "tree_bounds", "--range", "5..4"
+        )
+        assert code == 1 and "error: empty range '5..4'" in err
+        assert "RESULT" not in out
+
     def test_tree_order_above_cap_fails_fast(self, capsys):
         start = time.perf_counter()
         code, out, err = run(
@@ -169,6 +189,15 @@ class TestBoundsAndLemma:
         assert "inequality holds on 100x98 grid" in out
         assert "RESULT holds=True checked=9800" in out
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--n-max", "0", "--n-max must be >= 1"), ("--m-max", "1", "--m-max must be >= 3")],
+    )
+    def test_lemma_grid_too_small(self, capsys, flag, value, message):
+        code, out, err = run(capsys, "lemma", flag, value)
+        assert code == 1 and f"error: {message}" in err
+        assert "RESULT" not in out
+
 
 class TestGlobalFlags:
     def test_floor_mode_marked_experimental(self, capsys):
@@ -192,3 +221,35 @@ class TestGlobalFlags:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "solve", "--file", "/no/such/file.el")
         assert code == 1 and "error:" in err
+
+
+def _smallest_params(family):
+    """The first parameters over 0..15 that the family accepts, and for an
+    exact family the first its value covers."""
+    for params in itertools.product(range(16), repeat=len(FAMILIES[family].fields)):
+        if family in EXACT_VALUES:
+            if exact_value(family, *params) is not None:
+                return params
+            continue
+        try:
+            generate(GraphSpec.of(family, *params))
+        except GraphError:
+            continue
+        return params
+    raise AssertionError(f"no parameters found for {family}")
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_family_table(capsys, family):
+    params = _smallest_params(family)
+    spec = GraphSpec.of(family, *params)
+    assert "," not in spec.label()
+    flags = [a for f, v in zip(_spec_flags(family), params) for a in (f"--{f}", str(v))]
+    code, out, _ = run(capsys, "gen", "--family", family, *flags)
+    assert code == 0
+    assert out.splitlines()[-1].startswith(f"RESULT family={spec.label()} ")
+    if family in EXACT_VALUES:
+        cert = CERTIFICATES[family](*params)
+        report = validate(cert.graph, cert.labeling)
+        (prediction,) = predict(spec)
+        assert report.is_valid and report.weight == prediction.value

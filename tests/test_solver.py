@@ -240,11 +240,13 @@ class TestBranchAndBound:
         res = branch_and_bound(wheel(10), SolveOptions(node_limit=5))
         assert not res.proven
 
-    def test_parallel_same_optimum(self):
+    def test_thread_count_has_no_effect(self):
         for g in (wheel(9), corona(complete(2), complete(3)), star(10)):
             single = branch_and_bound(g, SolveOptions(thread_count=1))
             multi = branch_and_bound(g, SolveOptions(thread_count=4))
             assert multi.optimum == single.optimum
+            assert multi.witness == single.witness
+            assert multi.nodes_explored == single.nodes_explored
             report = validate(g, multi.witness)
             assert report.is_valid and report.weight == multi.optimum
 
