@@ -88,9 +88,13 @@ def _parse_range(text: Optional[str]) -> range:
 
 
 def _solve_options(args) -> SolveOptions:
+    node_limit = getattr(args, "node_limit", None)
+    if node_limit is not None and node_limit < 1:
+        raise CliError("--node-limit must be >= 1")
     return SolveOptions(
         method=getattr(args, "method", "auto"),
         thread_count=args.threads,
+        node_limit=node_limit,
         threshold_mode=args.threshold_mode,
     )
 
@@ -105,10 +109,17 @@ def _warn_floor(args) -> None:
 
 def cmd_solve(args) -> int:
     g, label = _load_graph(args)
+    opts = _solve_options(args)
     _warn_floor(args)
-    res = solve(g, _solve_options(args))
+    res = solve(g, opts)
     print(f"instance: {label} (n={g.n}, m={g.num_edges()})")
-    print(f"optimum:  {res.optimum}")
+    if res.proven:
+        print(f"optimum:  {res.optimum}")
+    else:
+        print(
+            f"best:     {res.optimum}  "
+            f"(unproven: node limit {opts.node_limit} reached)"
+        )
     print(f"witness:  {serialize_labeling(res.witness)}")
     print(f"nodes:    {res.nodes_explored}  method: {res.method}")
     print(
@@ -179,14 +190,21 @@ def cmd_check(args) -> int:
     theorem = args.theorem
     if theorem in formulas.EXACT_VALUES:
         r = _parse_range(args.range)
-        arity = len(FAMILIES[theorem].fields)
-        if arity == 1:
+        fields = FAMILIES[theorem].fields
+        if len(fields) == 1:
             params = list(r)
+            # fail before any solve rather than on a certificate's guard
+            for p in params:
+                if formulas.exact_value(theorem, p) is None:
+                    raise CliError(
+                        f"{theorem}: {fields[0]}={p} outside the closed "
+                        f"form's domain ({formulas.EXACT_VALUES[theorem][1]})"
+                    )
         else:
             # every parameter tuple over the range that the value covers
             params = [
                 p
-                for p in itertools.product(r, repeat=arity)
+                for p in itertools.product(r, repeat=len(fields))
                 if formulas.exact_value(theorem, *p) is not None
             ]
     elif theorem in ("corona_upper", "corona_lower"):
@@ -287,6 +305,14 @@ def _add_family_args(p) -> None:
     p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
 
 
+def _add_node_limit_arg(p) -> None:
+    p.add_argument(
+        "--node-limit",
+        type=int,
+        help="stop branch and bound after N nodes; the result is then unproven",
+    )
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="majroman", description=__doc__)
     parser.add_argument(
@@ -305,6 +331,7 @@ def build_parser() -> _Parser:
     _add_family_args(p)
     p.add_argument("--file", help="edge-list file")
     p.add_argument("--method", choices=["auto", "brute", "bb"], default="auto")
+    _add_node_limit_arg(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("gen", help="generate a family graph as an edge list")
@@ -329,6 +356,7 @@ def build_parser() -> _Parser:
     p.add_argument("--csv", help="write CSV to this path")
     p.add_argument("--json", help="write JSON lines to this path")
     p.add_argument("--strict", action="store_true", help="exit 2 on MISMATCH/CERT_INVALID")
+    _add_node_limit_arg(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("bounds", help="closed-form bounds for a tree or family")

@@ -72,7 +72,7 @@ def satisfied_count(g: Graph, labels: Sequence[int]) -> int:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValidationReport:
     is_valid: bool
     satisfied_count: int

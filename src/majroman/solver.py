@@ -3,13 +3,13 @@
 Two independent routes:
 
 * ``brute_force`` -- exhaustive enumeration of all 3^n labelings (the
-  reference oracle), capped at n <= 16 by default. The last min(n, 11)
-  vertices form a low block whose 3^11 rows (closed sums, 2-neighbour
+  reference oracle), capped at n <= 16 by default. The last min(n, 9)
+  vertices form a low block whose 3^9 rows (closed sums, 2-neighbour
   counts, weights, guard bitmasks) are built once per call in int16 by
-  mixed-radix broadcasting; the 3^(n-11) labelings of the high prefix are
+  mixed-radix broadcasting; the 3^(n-9) labelings of the high prefix are
   then swept in code order, re-comparing only the closed sums of N[high].
-  Memory stays near 3^11 x n int16 per array at any n.
-* ``branch_and_bound`` -- DFS over partial labelings with three safe
+  Memory stays near 3^9 x n int16 per array at any n.
+* ``branch_and_bound`` -- DFS over partial labelings with four safe
   pruning rules, usable beyond the brute-force cap and on sparse graphs.
 
 Both return the same optimum whenever both run. The all-2 labeling is
@@ -62,7 +62,7 @@ class SolveOptions:
             raise ValueError("thread_count must be >= 1")
 
 
-@dataclass
+@dataclass(slots=True)
 class OptResult:
     optimum: int
     witness: Tuple[int, ...]
@@ -76,7 +76,7 @@ _LABELS = (-1, 1, 2)
 # per digit: a closed neighbour adds its label, an open neighbour counts a 2
 _COEF = np.array([_LABELS, (0, 0, 1)], dtype=np.int16)[:, None, None, :]
 # order of the low block, whose 3^_LOW rows are built once per call
-_LOW = 11
+_LOW = 9
 
 
 @functools.lru_cache(maxsize=_LOW)
@@ -117,10 +117,10 @@ def brute_force(g: Graph, options: Optional[SolveOptions] = None) -> OptResult:
     the lexicographically smallest over vertices 0..n-1 with value order
     (-1, +1, 2).
 
-    The last ``min(n, 11)`` vertices form the low block. Its 3^11 rows
+    The last ``min(n, 9)`` vertices form the low block. Its 3^9 rows
     are built once per call: each vertex's closed sum over the block, its
     number of low 2-neighbours, the row weights and a guard bitmask. The
-    labelings of the high prefix (the first ``n - 11`` vertices) are then
+    labelings of the high prefix (the first ``n - 9`` vertices) are then
     swept in code order. Each one re-compares only the closed sums of
     N[high], and tests the Roman guard with two bitmask tests per row:
     a low -1 vertex with no low 2 needs a high 2 neighbour, and a high -1
@@ -224,7 +224,20 @@ class _Search:
         is fully assigned with no 2;
     (c) majority death: vertices whose closed sum can no longer reach 1
         even if every unassigned closed neighbor takes 2; prune once more
-        than n - threshold of them exist.
+        than n - threshold of them exist;
+    (d) guard capacity: of the k unassigned vertices U, say P already
+        have an assigned 2-neighbour. A completion labelling a vertices
+        of U with 2 and c with -1 weighs k + a - 2c on U, and each of
+        those -1s needs a 2-neighbour, so c <= min(k - a, P + D(a)) where
+        D(a) is the sum of the a largest degrees in U. U therefore weighs
+        at least the minimum over a of max(3a - k, k + a - 2P - 2D(a)),
+        and the subtree is cut when that cannot beat the incumbent.
+        The bound is never below -k, so (d) implies (a) and the search
+        tests (d) alone.
+
+    Every rule only cuts subtrees with no valid leaf lighter than the
+    incumbent, so the incumbent sequence, and with it the witness, is the
+    same as with no pruning at all.
     """
 
     def __init__(self, g: Graph, order, weight, witness, allowed_unsat, node_limit):
@@ -242,6 +255,12 @@ class _Search:
         self.un_closed = [len(g.adj[v]) + 1 for v in range(n)]
         self.un_open = [len(g.adj[v]) for v in range(n)]
         self.twos_open = [0] * n
+        # unassigned vertices with an assigned 2-neighbour (P of rule d)
+        self.covered = 0
+        # slack[i] = i - 2 * (sum of the degrees of order[:i])
+        self.slack = [0] * (n + 1)
+        for i, v in enumerate(order):
+            self.slack[i + 1] = self.slack[i] + 1 - 2 * len(g.adj[v])
         self.dead = [False] * n
         self.dead_count = 0
         self.dead_stack = []
@@ -251,28 +270,34 @@ class _Search:
     def assign(self, u: int, x: int) -> bool:
         label = self.label
         label[u] = x
+        un_open = self.un_open
+        twos_open = self.twos_open
+        if twos_open[u]:
+            self.covered -= 1
         sum_closed = self.sum_closed
         un_closed = self.un_closed
         for v in self.closed_nbrs[u]:
             sum_closed[v] += x
             un_closed[v] -= 1
-        for v in self.open_nbrs[u]:
-            self.un_open[v] -= 1
-        if x == 2:
-            for v in self.open_nbrs[u]:
-                self.twos_open[v] += 1
         ok = True
-        if x == -1 and self.un_open[u] == 0 and self.twos_open[u] == 0:
-            ok = False
-        if ok and x != 2:
-            for w in self.open_nbrs[u]:
-                if (
-                    label[w] == -1
-                    and self.un_open[w] == 0
-                    and self.twos_open[w] == 0
-                ):
-                    ok = False
-                    break
+        if x == 2:
+            covered = 0
+            for v in self.open_nbrs[u]:
+                un_open[v] -= 1
+                twos_open[v] += 1
+                if twos_open[v] == 1 and not label[v]:
+                    covered += 1
+            self.covered += covered
+        else:
+            for v in self.open_nbrs[u]:
+                un_open[v] -= 1
+            if x == -1 and un_open[u] == 0 and twos_open[u] == 0:
+                ok = False
+            else:
+                for w in self.open_nbrs[u]:
+                    if label[w] == -1 and un_open[w] == 0 and twos_open[w] == 0:
+                        ok = False
+                        break
         newly_dead = []
         dead = self.dead
         for v in self.closed_nbrs[u]:
@@ -290,15 +315,51 @@ class _Search:
         self.dead_count -= len(newly_dead)
         for v in newly_dead:
             self.dead[v] = False
+        label = self.label
+        un_open = self.un_open
+        twos_open = self.twos_open
         if x == 2:
+            covered = 0
             for v in self.open_nbrs[u]:
-                self.twos_open[v] -= 1
-        for v in self.open_nbrs[u]:
-            self.un_open[v] += 1
+                un_open[v] += 1
+                twos_open[v] -= 1
+                if not twos_open[v] and not label[v]:
+                    covered += 1
+            self.covered -= covered
+        else:
+            for v in self.open_nbrs[u]:
+                un_open[v] += 1
         for v in self.closed_nbrs[u]:
             self.sum_closed[v] -= x
             self.un_closed[v] += 1
-        self.label[u] = 0
+        label[u] = 0
+        if twos_open[u]:
+            self.covered += 1
+
+    def capacity_bound_reaches(self, depth: int, need: int) -> bool:
+        """Whether rule (d) bounds the weight of the unassigned vertices by
+        at least ``need``.
+
+        With i = depth + a, f1 = 3a - k rises by 3 per step and
+        f2 = k + a - 2P - 2D(a) falls while degrees are positive, then
+        rises by 1 per isolated vertex. The bound is f1 at the first a
+        with f1 >= f2, or a smaller f2 before it; the walk stops at the
+        first value below ``need``.
+        """
+        k = self.n - depth
+        slack = self.slack
+        # f2 = base + slack[i]
+        base = k - 2 * self.covered - slack[depth]
+        f1 = -k
+        for i in range(depth, self.n):
+            f2 = base + slack[i]
+            if f1 >= f2:
+                return f1 >= need
+            if f2 < need:
+                return False
+            f1 += 3
+        # a = k: f1 = 2k is at least f2
+        return f1 >= need
 
     def dfs(self, depth: int, cur_w: int) -> None:
         n = self.n
@@ -309,7 +370,7 @@ class _Search:
                 self.weight = cur_w
                 self.witness = tuple(self.label)
             return
-        if cur_w - (n - depth) >= self.weight:
+        if self.capacity_bound_reaches(depth, self.weight - cur_w):
             return
         if self.node_limit is not None and self.nodes >= self.node_limit:
             self.truncated = True

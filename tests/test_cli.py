@@ -48,6 +48,25 @@ class TestSolve:
         code, _, err = run(capsys, "solve", "--family", "double_star", "--a", "2")
         assert code == 1 and "error: family double_star needs --b" in err
 
+    def test_node_limit_fails_fast(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(
+            capsys, "solve", "--family", "complement_path", "--n", "30",
+            "--node-limit", "20000",
+        )
+        assert time.perf_counter() - start < 10.0
+        assert code == 0
+        assert "best:" in out and "(unproven: node limit 20000 reached)" in out
+        assert "optimum:" not in out
+        assert out.strip().splitlines()[-1].endswith("proven=False")
+
+    def test_node_limit_must_be_positive(self, capsys):
+        code, out, err = run(
+            capsys, "solve", "--family", "path", "--n", "4", "--node-limit", "0"
+        )
+        assert code == 1 and "error: --node-limit must be >= 1" in err
+        assert "RESULT" not in out
+
     def test_brute_force_above_cap(self, capsys):
         code, out, err = run(
             capsys, "solve", "--family", "wheel", "--n", "20", "--method", "brute"
@@ -153,6 +172,32 @@ class TestCheck:
         )
         assert code == 1 and "error: empty range '5..4'" in err
         assert "RESULT" not in out
+
+    @pytest.mark.parametrize(
+        "theorem, rng, n, reason",
+        [
+            ("complete", "1..3", 1, "needs n >= 2"),
+            ("fan", "2..5", 2, "needs n >= 4"),
+            ("complement_path", "2..5", 2, "needs n >= 12"),
+            ("complete_minus_matching", "1..3", 1, "needs n >= 3"),
+        ],
+    )
+    def test_order_outside_domain(self, capsys, theorem, rng, n, reason):
+        code, out, err = run(capsys, "check", "--theorem", theorem, "--range", rng)
+        assert code == 1
+        assert (
+            f"error: {theorem}: n={n} outside the closed form's domain ({reason})"
+            in err
+        )
+        assert out == ""
+
+    def test_node_limit_leaves_rows_unproven(self, capsys):
+        code, out, _ = run(
+            capsys, "check", "--theorem", "wheel", "--range", "13..13",
+            "--node-limit", "50",
+        )
+        assert code == 0
+        assert "RESULT theorem=wheel rows=1 unproven=1" in out
 
     def test_tree_order_above_cap_fails_fast(self, capsys):
         start = time.perf_counter()

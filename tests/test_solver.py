@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from majroman.graph import (
     Graph,
@@ -253,6 +254,59 @@ class TestBranchAndBound:
     def test_thread_count_guard(self):
         with pytest.raises(ValueError):
             SolveOptions(thread_count=0)
+
+
+@st.composite
+def bound_graphs(draw):
+    """n = 0..11: edgeless, sparse with isolated vertices (G(n, 0.1)),
+    random, dense, and disjoint unions of two of them."""
+
+    def part(n):
+        if n == 0:
+            return Graph(0, [])
+        p = draw(st.sampled_from([0.0, 0.1, 0.1, 0.3, 0.5, 0.9]))
+        return gnp(n, p, draw(st.integers(0, 2**31)))
+
+    n = draw(st.integers(0, 11))
+    left = draw(st.integers(0, n))
+    if draw(st.booleans()):
+        return disjoint_union(part(left), part(n - left))
+    return part(n)
+
+
+# optima and witnesses of branch and bound before the guard-capacity bound
+FROZEN_BB = [
+    (wheel(9), -2, (2, -1, -1, -1, -1, -1, 1, -1, 1)),
+    (path(7), 1, (-1, 2, -1, 1, -1, 2, -1)),
+    (cycle(16), 4, (-1, -1, 2, -1, -1, 2, -1, 1, 1, -1, 2, -1, 1, 1, -1, 2)),
+    (random_tree(13, 5), 1, (-1, 2, -1, -1, 2, -1, -1, 2, 1, -1, -1, 2, -1)),
+    (random_tree(13, 6), 1, (2, 2, -1, 1, 2, -1, -1, -1, -1, 2, -1, -1, -1)),
+]
+
+
+class TestGuardCapacityBound:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(g=bound_graphs(), mode=st.sampled_from(["ceil", "floor"]))
+    def test_agrees_with_brute_force(self, g, mode):
+        opts = SolveOptions(threshold_mode=mode)
+        res = branch_and_bound(g, opts)
+        assert res.proven
+        assert res.optimum == brute_force(g, opts).optimum
+        report = validate(g, res.witness, mode)
+        assert report.is_valid and report.weight == res.optimum
+
+    @pytest.mark.parametrize("n", [18, 20])
+    def test_long_cycles_proven_under_node_limit(self, n):
+        g = cycle(n)
+        res = branch_and_bound(g, SolveOptions(node_limit=300_000))
+        assert res.proven and res.optimum == 5
+        report = validate(g, res.witness)
+        assert report.is_valid and report.weight == 5
+
+    @pytest.mark.parametrize("g,value,labels", FROZEN_BB)
+    def test_frozen_witnesses(self, g, value, labels):
+        res = branch_and_bound(g)
+        assert (res.optimum, res.witness) == (value, labels)
 
 
 class TestDispatchAndBounds:
