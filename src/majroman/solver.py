@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -247,7 +248,8 @@ class _Search:
         self.weight = weight
         self.witness = witness
         self.allowed_unsat = allowed_unsat
-        self.node_limit = node_limit
+        # no limit is a count the search never reaches
+        self.node_limit = sys.maxsize if node_limit is None else node_limit
         self.closed_nbrs = [sorted(g.adj[v] | {v}) for v in range(n)]
         self.open_nbrs = [sorted(g.adj[v]) for v in range(n)]
         self.label = [0] * n
@@ -372,18 +374,17 @@ class _Search:
             return
         if self.capacity_bound_reaches(depth, self.weight - cur_w):
             return
-        if self.node_limit is not None and self.nodes >= self.node_limit:
-            self.truncated = True
-            return
         u = self.order[depth]
         for x in (-1, 1, 2):
+            # also ends this loop once a child's subtree used up the limit
+            if self.nodes >= self.node_limit:
+                self.truncated = True
+                return
             self.nodes += 1
             ok = self.assign(u, x)
             if ok:
                 self.dfs(depth + 1, cur_w + x)
             self.unassign(u, x)
-            if self.truncated:
-                return
 
 
 def branch_and_bound(

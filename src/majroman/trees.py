@@ -1,18 +1,15 @@
-"""Polynomial tree algorithms: domination number, independence number,
-support/leaf counts, and search for a minimum dominating set whose
-complement is independent."""
+"""Polynomial tree algorithms: domination number, a maximum independent
+set, support/leaf counts, and the test for a minimum dominating set whose
+complement is independent (gamma = n - beta0)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional, Tuple
 
 from .graph import Graph
 
 _INF = float("inf")
-# largest tree order the exhaustive gamma-set search accepts
-GAMMA_SET_CAP = 20
 
 
 class TreeError(ValueError):
@@ -77,18 +74,28 @@ def domination_number(t: Graph) -> int:
     return int(min(in_set[root], dominated[root]))
 
 
-def independence_number(t: Graph) -> int:
-    """Exact maximum independent set size via two-state DP."""
+def maximum_independent_set(t: Graph) -> frozenset:
+    """A maximum independent set via the two-state DP (take or skip each
+    vertex), traced back from the root; ties take the vertex."""
     _require_tree(t)
     order, parent = _postorder(t)
-    take = [0] * t.n
+    take = [1] * t.n
     skip = [0] * t.n
     for u in order:
-        children = [v for v in t.adj[u] if parent[v] == u]
-        take[u] = 1 + sum(skip[c] for c in children)
-        skip[u] = sum(max(take[c], skip[c]) for c in children)
-    root = order[-1]
-    return max(take[root], skip[root])
+        p = parent[u]
+        if p >= 0:
+            take[p] += skip[u]
+            skip[p] += max(take[u], skip[u])
+    chosen = set()
+    for u in reversed(order):
+        if parent[u] not in chosen and take[u] >= skip[u]:
+            chosen.add(u)
+    return frozenset(chosen)
+
+
+def independence_number(t: Graph) -> int:
+    """Exact maximum independent set size."""
+    return len(maximum_independent_set(t))
 
 
 def count_supports_leaves(t: Graph) -> Tuple[int, int]:
@@ -102,31 +109,18 @@ def count_supports_leaves(t: Graph) -> Tuple[int, int]:
     return len(supports), len(leaves)
 
 
-def find_gamma_set_independent_complement(
-    t: Graph, cap: int = GAMMA_SET_CAP
-) -> Optional[frozenset]:
+def find_gamma_set_independent_complement(t: Graph) -> Optional[frozenset]:
     """Some minimum dominating set with independent complement, or None.
 
-    Enumerates all vertex subsets of size gamma; exponential but fine at
-    desk scale, hence the cap.
+    A set with independent complement is a vertex cover, and with no
+    isolated vertex every vertex cover dominates. So such a set exists
+    exactly when gamma = tau = n - beta0 (Gallai), and then the complement
+    of any maximum independent set is one. On K_1 the set is {0}.
     """
-    _require_tree(t)
-    if t.n > cap:
-        raise TreeError(f"n={t.n} exceeds exhaustive cap {cap}")
-    gamma = domination_number(t)
-    full = (1 << t.n) - 1
-    masks = [sum(1 << u for u in t.adj[v]) for v in range(t.n)]
-    closed_masks = [masks[v] | (1 << v) for v in range(t.n)]
-    for combo in combinations(range(t.n), gamma):
-        covered = 0
-        for v in combo:
-            covered |= closed_masks[v]
-        if covered != full:
-            continue
-        outside = [v for v in range(t.n) if v not in combo]
-        if all(not (masks[u] >> v) & 1 for u in outside for v in outside):
-            return frozenset(combo)
-    return None
+    if t.n == 1:
+        return frozenset({0})
+    cover = frozenset(range(t.n)) - maximum_independent_set(t)
+    return cover if len(cover) == domination_number(t) else None
 
 
 @dataclass(frozen=True)

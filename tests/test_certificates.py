@@ -23,7 +23,7 @@ from majroman.certificates import (
 from majroman.formulas import tree_support_leaf_bound
 from majroman.graph import GraphSpec, complement, cycle, path, random_tree, star
 from majroman.labeling import satisfied_count, validate, weight
-from majroman.solver import brute_force
+from majroman.solver import SolveOptions, brute_force
 from majroman.trees import count_supports_leaves
 
 
@@ -294,8 +294,18 @@ class TestTreeSupportLeafCert:
         # tree the floor-mode extension is lighter than the ceil-mode one
         t = random_tree(7, 22)
         ceil_cert = cert_tree_support_leaf(t)
-        floor_cert = cert_tree_support_leaf(t, "floor")
+        floor_cert = cert_tree_support_leaf(t, SolveOptions(threshold_mode="floor"))
         assert ceil_cert.labeling == (2, 2, -1, 2, -1, -1, -1)
         assert floor_cert.labeling == (-1, 2, -1, 2, -1, -1, -1)
         assert validate(t, floor_cert.labeling, "floor").is_valid
-        assert cert_tree_support_leaf(t, "ceil").labeling == ceil_cert.labeling
+        ceil_opts = SolveOptions(threshold_mode="ceil")
+        assert cert_tree_support_leaf(t, ceil_opts).labeling == ceil_cert.labeling
+
+    def test_node_limit_reaches_inner_solve(self):
+        # a truncated solve of the stripped tree is named as a defect; its
+        # best labeling is still extended and validated downstream
+        t = random_tree(30, 0)
+        cert = cert_tree_support_leaf(t, SolveOptions(node_limit=500))
+        assert cert.defects == ("stripped tree unproven: node limit 500 reached",)
+        assert validate(t, cert.labeling).is_valid
+        assert cert_tree_support_leaf(random_tree(10, 42)).defects == ()

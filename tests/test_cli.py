@@ -57,6 +57,7 @@ class TestSolve:
         assert time.perf_counter() - start < 10.0
         assert code == 0
         assert "best:" in out and "(unproven: node limit 20000 reached)" in out
+        assert "nodes:    20000 " in out
         assert "optimum:" not in out
         assert out.strip().splitlines()[-1].endswith("proven=False")
 
@@ -199,15 +200,17 @@ class TestCheck:
         assert code == 0
         assert "RESULT theorem=wheel rows=1 unproven=1" in out
 
-    def test_tree_order_above_cap_fails_fast(self, capsys):
+    def test_tree_bounds_beyond_brute_range_under_node_limit(self, capsys):
+        # trees of any order run: the row solve and the certificate's
+        # inner solve both stop at the node limit
         start = time.perf_counter()
-        code, out, err = run(
-            capsys, "check", "--theorem", "tree_bounds", "--range", "25..25"
+        code, out, _ = run(
+            capsys, "check", "--theorem", "tree_bounds", "--range", "30..30",
+            "--count", "2", "--node-limit", "20000",
         )
         assert time.perf_counter() - start < 5.0
-        assert code == 1
-        assert "error: tree order n=25 exceeds the gamma-set search cap 20" in err
-        assert "RESULT" not in out
+        assert code == 0
+        assert "RESULT theorem=tree_bounds rows=6 unproven=6" in out
 
 
 class TestBoundsAndLemma:

@@ -15,7 +15,6 @@ from majroman.harness import (
 )
 from majroman.solver import SolveOptions, solve
 from majroman.graph import generate, join
-from majroman.trees import TreeError
 
 
 EXPECTED_COMPLETE_CSV = """spec,predicted,cert_weight,cert_valid,optimum,verdict
@@ -123,13 +122,27 @@ class TestTreeBounds:
         }
         assert weights == {"ceil": 2, "floor": -1}
 
-    def test_order_above_gamma_cap_rejected_before_solving(self):
+    def test_large_tree_runs_under_node_limit(self):
         specs = [
             GraphSpec("random_tree", n=5, seed=1),
             GraphSpec("random_tree", n=25, seed=1),
         ]
-        with pytest.raises(TreeError, match="n=25"):
-            check("tree_bounds", specs)
+        report = check("tree_bounds", specs, SolveOptions(node_limit=2000))
+        rows = {r.spec: r for r in report.rows}
+        assert rows["T_n5_s1/support_leaf"].optimum is not None
+        large = rows["T_n25_s1/support_leaf"]
+        assert large.verdict == "UNPROVEN"
+        assert large.cert_defects == (
+            "stripped tree unproven: node limit 2000 reached",
+        )
+
+    def test_truncated_inner_solve_is_not_cert_invalid(self):
+        # under this limit the stripped tree's best labeling extends to an
+        # invalid labeling; that is no finding against the construction
+        spec = GraphSpec("random_tree", n=17, seed=3)
+        row = check("tree_bounds", [spec], SolveOptions(node_limit=3000)).rows[0]
+        assert row.cert_valid is False and row.cert_defects
+        assert row.verdict == "UNPROVEN"
 
 
 class TestDeltaBound:

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from majroman.graph import (
     Graph,
+    complement,
     complete,
     corona,
     cycle,
@@ -240,6 +241,31 @@ class TestBranchAndBound:
     def test_node_limit_truncates(self):
         res = branch_and_bound(wheel(10), SolveOptions(node_limit=5))
         assert not res.proven
+
+    @pytest.mark.parametrize(
+        "g",
+        [wheel(10), cycle(16), random_tree(22, 1), complement(path(30))],
+        ids=["W_10", "C_16", "T_22", "Pbar_30"],
+    )
+    @pytest.mark.parametrize("limit", [1, 2, 3, 7, 100, 5000])
+    def test_node_limit_never_overshot(self, g, limit):
+        res = branch_and_bound(g, SolveOptions(node_limit=limit))
+        assert res.nodes_explored <= limit
+        if not res.proven:
+            assert res.nodes_explored == limit
+        report = validate(g, res.witness)
+        assert report.is_valid and report.weight == res.optimum
+
+    def test_node_limit_equal_to_search_size_proves(self):
+        g = wheel(9)
+        full = branch_and_bound(g)
+        exact = branch_and_bound(g, SolveOptions(node_limit=full.nodes_explored))
+        assert exact.proven and exact.nodes_explored == full.nodes_explored
+        short = branch_and_bound(
+            g, SolveOptions(node_limit=full.nodes_explored - 1)
+        )
+        assert not short.proven
+        assert short.nodes_explored == full.nodes_explored - 1
 
     def test_thread_count_has_no_effect(self):
         for g in (wheel(9), corona(complete(2), complete(3)), star(10)):

@@ -5,7 +5,16 @@ from itertools import combinations
 
 import pytest
 
-from majroman.graph import cycle, double_star, path, random_tree, star, Graph
+from majroman.graph import (
+    Graph,
+    complete,
+    corona,
+    cycle,
+    double_star,
+    path,
+    random_tree,
+    star,
+)
 from majroman.trees import (
     TreeError,
     count_supports_leaves,
@@ -13,6 +22,7 @@ from majroman.trees import (
     find_gamma_set_independent_complement,
     independence_number,
     is_tree,
+    maximum_independent_set,
     tree_profile,
 )
 
@@ -36,6 +46,32 @@ def brute_independence(g):
                 best = r
                 break
     return best
+
+
+def brute_gamma_set_independent_complement(g):
+    """The first gamma-set, in combinations order, whose complement is
+    independent; None when there is none."""
+    gamma = brute_domination(g)
+    for combo in combinations(range(g.n), gamma):
+        covered = set(combo)
+        for v in combo:
+            covered |= g.adj[v]
+        outside = [v for v in range(g.n) if v not in combo]
+        if len(covered) == g.n and all(
+            v not in g.adj[u] for u, v in combinations(outside, 2)
+        ):
+            return frozenset(combo)
+    return None
+
+
+def assert_gamma_set_independent_complement(t, s, gamma):
+    assert len(s) == gamma
+    covered = set(s)
+    for v in s:
+        covered |= t.adj[v]
+    assert len(covered) == t.n
+    outside = [v for v in range(t.n) if v not in s]
+    assert all(v not in t.adj[u] for u, v in combinations(outside, 2))
 
 
 class TestIsTree:
@@ -82,6 +118,9 @@ class TestIndependence:
         for _ in range(40):
             t = random_tree(rng.randint(1, 10), rng.randrange(2**32))
             assert independence_number(t) == brute_independence(t)
+            s = maximum_independent_set(t)
+            assert len(s) == brute_independence(t)
+            assert all(v not in t.adj[u] for u, v in combinations(s, 2))
 
 
 class TestSupportsLeaves:
@@ -100,23 +139,47 @@ class TestSupportsLeaves:
 
 class TestGammaSetIndependentComplement:
     def test_p4(self):
-        # {0, 2} and {1, 3} come before {1, 2} in enumeration order and
-        # also qualify
         s = find_gamma_set_independent_complement(path(4))
-        assert s == frozenset({0, 2})
+        assert s is not None
+        assert_gamma_set_independent_complement(path(4), s, 2)
 
     def test_star(self):
         s = find_gamma_set_independent_complement(star(7))
         assert s == frozenset({0})
+
+    def test_k1(self):
+        assert find_gamma_set_independent_complement(path(1)) == frozenset({0})
 
     def test_p6_has_none(self):
         # the unique gamma-set of P_6 is {1, 4}, whose complement contains
         # the edge (2, 3)
         assert find_gamma_set_independent_complement(path(6)) is None
 
-    def test_cap(self):
+    def test_guard_on_non_tree(self):
         with pytest.raises(TreeError):
-            find_gamma_set_independent_complement(path(25))
+            find_gamma_set_independent_complement(cycle(4))
+
+    def test_oracle(self):
+        rng = random.Random(74)
+        for _ in range(300):
+            t = random_tree(rng.randint(1, 14), rng.randrange(2**32))
+            expected = brute_gamma_set_independent_complement(t)
+            s = find_gamma_set_independent_complement(t)
+            assert (s is None) == (expected is None)
+            if s is not None:
+                assert_gamma_set_independent_complement(t, s, brute_domination(t))
+
+    def test_n300(self):
+        # every spine vertex of a corona P_150 o K_1 has a pendant leaf, so
+        # gamma = beta0 = 150 = n - beta0; on P_300, gamma = 100 < 150
+        t = corona(path(150), complete(1))
+        s = find_gamma_set_independent_complement(t)
+        assert s is not None
+        assert_gamma_set_independent_complement(t, s, 150)
+        assert find_gamma_set_independent_complement(path(300)) is None
+        t = random_tree(300, 5)
+        assert (domination_number(t), independence_number(t)) == (110, 170)
+        assert find_gamma_set_independent_complement(t) is None
 
 
 class TestProfile:
