@@ -24,7 +24,7 @@ from .graph import (
 )
 from .labeling import serialize_labeling, validate
 from .solver import SolveOptions, SolverError, delta_lower_bound, solve
-from .trees import TreeError, tree_profile
+from .trees import TreeError, find_gamma_set_independent_complement, tree_profile
 
 
 class CliError(Exception):
@@ -248,14 +248,19 @@ def cmd_bounds(args) -> int:
         sl = formulas.tree_support_leaf_bound(
             profile.n, profile.supports, profile.leaves
         )
-        dom = formulas.tree_domination_bound(profile.n, profile.gamma)
+        # 3*gamma - n bounds only trees with a minimum dominating set
+        # whose complement is independent
+        dom = None
+        if find_gamma_set_independent_complement(t) is not None:
+            dom = formulas.tree_domination_bound(profile.n, profile.gamma)
         stated, proof = formulas.tree_independence_bounds(profile.n, profile.beta0)
         print(
             f"tree: n={profile.n} gamma={profile.gamma} beta0={profile.beta0} "
             f"supports={profile.supports} leaves={profile.leaves}"
         )
         print(f"support/leaf upper bound:    {sl}")
-        print(f"domination upper bound:      {dom}")
+        dom_text = "inapplicable (gamma != n - beta0)" if dom is None else dom
+        print(f"domination upper bound:      {dom_text}")
         print(f"independence bounds:         stated={stated} proof={proof}")
         print(
             f"RESULT n={profile.n} gamma={profile.gamma} beta0={profile.beta0} "

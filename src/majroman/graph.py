@@ -61,10 +61,6 @@ class Graph:
             raise GraphError("max degree of the empty graph is undefined")
         return max(len(s) for s in self.adj)
 
-    def closed_neighborhood(self, v: int) -> frozenset:
-        self._check_vertex(v)
-        return self.adj[v] | {v}
-
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)
@@ -332,8 +328,7 @@ class Family(NamedTuple):
     label: Callable[..., str]
 
 
-# every family a GraphSpec can name, except the two special cases
-# "corona" (two component specs) and "from_file" (an edge-list path)
+# every family a GraphSpec can name, except "corona" (two component specs)
 FAMILIES = {
     "path": Family(("n",), path, lambda n: f"P_{n}"),
     "cycle": Family(("n",), cycle, lambda n: f"C_{n}"),
@@ -360,8 +355,7 @@ class GraphSpec:
     """Symbolic description of a graph family plus parameters.
 
     ``family`` is a key of ``FAMILIES`` (double_star takes a=n, b=m;
-    complete_minus_matching has order 2n), or "corona" (parts) or
-    "from_file" (path).
+    complete_minus_matching has order 2n), or "corona" (parts).
     """
 
     family: str
@@ -370,7 +364,6 @@ class GraphSpec:
     k: Optional[int] = None
     seed: Optional[int] = None
     parts: Optional[Tuple["GraphSpec", "GraphSpec"]] = None
-    path: Optional[str] = None
 
     @classmethod
     def of(cls, family: str, *params) -> "GraphSpec":
@@ -385,8 +378,6 @@ class GraphSpec:
         f = self.family
         if f == "corona":
             return f"{self.parts[0].label()}o{self.parts[1].label()}"
-        if f == "from_file":
-            return f"file:{self.path}"
         if f in FAMILIES:
             return FAMILIES[f].label(*self.params())
         return f
@@ -399,9 +390,6 @@ def generate(spec: GraphSpec) -> Graph:
         if spec.parts is None:
             raise GraphError("Corona requires two component specs")
         return corona(generate(spec.parts[0]), generate(spec.parts[1]))
-    if f == "from_file":
-        with open(spec.path, encoding="utf-8") as fh:
-            return parse_edge_list(fh.read())
     if f in FAMILIES:
         return FAMILIES[f].build(*spec.params())
     raise GraphError(f"unknown family {f!r}")

@@ -10,7 +10,12 @@ Verdict taxonomy (the central audit feature):
                   stated corona upper bound, also: the stated formula
                   disagrees with the weight of its own construction)
 * CERT_INVALID -- the transcribed proof labeling fails validation
-* UNPROVEN     -- instance beyond the solver caps; certificate data only
+* UNPROVEN     -- no proven optimum: the instance is beyond the size cap
+                  or the search hit the node limit; certificate data only
+
+``_verdict`` decides every row in one order: CERT_INVALID first, then
+UNPROVEN, then the optimum against the value or bound (MATCH/MISMATCH,
+or BOUND_TIGHT/BOUND_HOLDS/MISMATCH).
 
 Instances that fail a theorem's hypothesis (e.g. a subadditivity operand
 with a negative optimum, or a tree without a minimum dominating set with
@@ -21,9 +26,9 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 from . import certificates as certs
 from . import formulas
@@ -35,19 +40,20 @@ from .solver import (
     branch_and_bound,
     brute_force,
     choose_method,
+    delta_lower_bound,
 )
 from .trees import find_gamma_set_independent_complement, tree_profile
 
 Number = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ReportRow:
     spec: str
     predicted: Optional[Number]
-    cert_weight: Optional[int]
-    cert_valid: Optional[bool]
-    cert_defects: Tuple[str, ...]
+    cert_weight: Optional[int] = None
+    cert_valid: Optional[bool] = None
+    cert_defects: Tuple[str, ...] = ()
     optimum: Optional[int]
     verdict: str
 
@@ -64,8 +70,8 @@ class TheoremReport:
         return out
 
 
-def _exact(g: Graph, opts: SolveOptions, seed_labeling=None):
-    """Solve exactly, or return None when beyond the configured caps."""
+def _exact(g: Graph, opts: SolveOptions, seed_labeling=None) -> Optional[int]:
+    """The proven optimum, or None beyond the size cap or the node limit."""
     try:
         if choose_method(g, opts) == "brute":
             res = brute_force(g, opts)
@@ -74,25 +80,37 @@ def _exact(g: Graph, opts: SolveOptions, seed_labeling=None):
             res = branch_and_bound(g, replace(opts, seed_labeling=seed))
     except CapExceededError:
         return None
-    return res if res.proven else None
+    return res.optimum if res.proven else None
 
 
-def _bound_verdict(optimum, bound, kind) -> str:
+def _verdict(optimum, bound, kind: str, cert_valid: bool = True) -> str:
+    """The verdict of one row: CERT_INVALID, then UNPROVEN, then the
+    optimum against ``bound`` as an "exact" value or an "upper" or
+    "lower" bound."""
+    if not cert_valid:
+        return "CERT_INVALID"
     if optimum is None:
         return "UNPROVEN"
-    if kind == "upper":
-        if optimum > bound:
-            return "MISMATCH"
-        return "BOUND_TIGHT" if optimum == bound else "BOUND_HOLDS"
-    if optimum < bound:
-        return "MISMATCH"
-    return "BOUND_TIGHT" if optimum == bound else "BOUND_HOLDS"
+    if kind == "exact":
+        return "MATCH" if optimum == bound else "MISMATCH"
+    if optimum == bound:
+        return "BOUND_TIGHT"
+    holds = optimum < bound if kind == "upper" else optimum > bound
+    return "BOUND_HOLDS" if holds else "MISMATCH"
 
 
-def _check_exact_family(theorem: str, params, opts) -> TheoremReport:
+def _cert_fields(cert, cert_report) -> dict:
+    """The certificate fields of a row."""
+    return dict(
+        cert_weight=cert_report.weight,
+        cert_valid=cert_report.is_valid,
+        cert_defects=cert.defects,
+    )
+
+
+def _check_exact_family(theorem: str, params, opts) -> Iterator[ReportRow]:
     """Rows for an exact family; ``params`` holds its orders, or tuples of
     its parameters when it takes more than one."""
-    report = TheoremReport(theorem)
     for p in params:
         values = p if isinstance(p, tuple) else (p,)
         spec = GraphSpec.of(theorem, *values)
@@ -101,32 +119,17 @@ def _check_exact_family(theorem: str, params, opts) -> TheoremReport:
         cert = certs.CERTIFICATES[theorem](*values)
         cert_report = validate(g, cert.labeling, opts.threshold_mode)
         seed = cert.labeling if cert_report.is_valid else None
-        res = _exact(g, opts, seed_labeling=seed)
-        optimum = res.optimum if res else None
-        if optimum is None:
-            verdict = "UNPROVEN"
-        elif not cert_report.is_valid:
-            verdict = "CERT_INVALID"
-        elif predicted is not None and optimum == predicted:
-            verdict = "MATCH"
-        else:
-            verdict = "MISMATCH"
-        report.rows.append(
-            ReportRow(
-                spec=spec.label(),
-                predicted=predicted,
-                cert_weight=cert_report.weight,
-                cert_valid=cert_report.is_valid,
-                cert_defects=cert.defects,
-                optimum=optimum,
-                verdict=verdict,
-            )
+        optimum = _exact(g, opts, seed_labeling=seed)
+        yield ReportRow(
+            spec=spec.label(),
+            predicted=predicted,
+            optimum=optimum,
+            verdict=_verdict(optimum, predicted, "exact", cert_report.is_valid),
+            **_cert_fields(cert, cert_report),
         )
-    return report
 
 
-def _check_corona_upper(params, opts) -> TheoremReport:
-    report = TheoremReport("corona_upper")
+def _check_corona_upper(params, opts) -> Iterator[ReportRow]:
     for g_spec, h_spec in params:
         cert = certs.cert_corona_general(g_spec, h_spec)
         g = generate(g_spec)
@@ -134,78 +137,53 @@ def _check_corona_upper(params, opts) -> TheoremReport:
         stated, construction = formulas.corona_upper_bound(g.n, h.n)
         cert_report = validate(cert.graph, cert.labeling, opts.threshold_mode)
         seed = cert.labeling if cert_report.is_valid else None
-        res = _exact(cert.graph, opts, seed_labeling=seed)
-        optimum = res.optimum if res else None
-        label = cert.spec.label()
+        optimum = _exact(cert.graph, opts, seed_labeling=seed)
         # stated formula: flagged MISMATCH whenever it disagrees with the
         # weight its own construction attains, even if it numerically holds
-        if optimum is None:
-            stated_verdict = "UNPROVEN"
-        elif stated != cert_report.weight:
+        if optimum is not None and stated != cert_report.weight:
             stated_verdict = "MISMATCH"
         else:
-            stated_verdict = _bound_verdict(optimum, stated, "upper")
-        report.rows.append(
-            ReportRow(
-                spec=f"{label}/stated",
-                predicted=stated,
-                cert_weight=cert_report.weight,
-                cert_valid=cert_report.is_valid,
-                cert_defects=cert.defects,
-                optimum=optimum,
-                verdict=stated_verdict,
-            )
+            stated_verdict = _verdict(optimum, stated, "upper")
+        constr_verdict = _verdict(
+            optimum, construction, "upper", cert_report.is_valid
         )
-        if not cert_report.is_valid:
-            constr_verdict = "CERT_INVALID"
-        else:
-            constr_verdict = _bound_verdict(optimum, construction, "upper")
-        report.rows.append(
-            ReportRow(
-                spec=f"{label}/construction",
-                predicted=construction,
-                cert_weight=cert_report.weight,
-                cert_valid=cert_report.is_valid,
-                cert_defects=cert.defects,
+        for tag, bound, verdict in (
+            ("stated", stated, stated_verdict),
+            ("construction", construction, constr_verdict),
+        ):
+            yield ReportRow(
+                spec=f"{cert.spec.label()}/{tag}",
+                predicted=bound,
                 optimum=optimum,
-                verdict=constr_verdict,
+                verdict=verdict,
+                **_cert_fields(cert, cert_report),
             )
-        )
-    return report
 
 
-def _check_corona_lower(params, opts) -> TheoremReport:
-    report = TheoremReport("corona_lower")
+def _check_corona_lower(params, opts) -> Iterator[ReportRow]:
     for g_spec, h_spec in params:
         cert = certs.cert_corona_floor(g_spec, h_spec)
         g = generate(g_spec)
         h = generate(h_spec)
         bound = formulas.corona_lower_bound(g.n, h.n)
         cert_report = validate(cert.graph, cert.labeling, opts.threshold_mode)
-        res = _exact(cert.graph, opts)
-        optimum = res.optimum if res else None
-        report.rows.append(
-            ReportRow(
-                spec=cert.spec.label(),
-                predicted=bound,
-                cert_weight=cert_report.weight,
-                cert_valid=cert_report.is_valid,
-                cert_defects=cert.defects,
-                optimum=optimum,
-                verdict=_bound_verdict(optimum, bound, "lower"),
-            )
+        optimum = _exact(cert.graph, opts)
+        # no validity: the source says this construction can fail
+        yield ReportRow(
+            spec=cert.spec.label(),
+            predicted=bound,
+            optimum=optimum,
+            verdict=_verdict(optimum, bound, "lower"),
+            **_cert_fields(cert, cert_report),
         )
-    return report
 
 
-def _check_tree_bounds(params, opts) -> TheoremReport:
-    report = TheoremReport("tree_bounds")
+def _check_tree_bounds(params, opts) -> Iterator[ReportRow]:
     for spec in params:
         t = generate(spec)
         profile = tree_profile(t)
         label = spec.label()
-        res = _exact(t, opts)
-        optimum = res.optimum if res else None
+        optimum = _exact(t, opts)
 
         # (a) support/leaf bound via the inductive construction
         cert = certs.cert_tree_support_leaf(t, opts)
@@ -215,20 +193,14 @@ def _check_tree_bounds(params, opts) -> TheoremReport:
         )
         # its only defect is a truncated solve of the stripped tree; the
         # extension of a labeling that is not minimum tests no proof step
-        if not cert_report.is_valid and not cert.defects:
-            verdict = "CERT_INVALID"
-        else:
-            verdict = _bound_verdict(optimum, bound, "upper")
-        report.rows.append(
-            ReportRow(
-                spec=f"{label}/support_leaf",
-                predicted=bound,
-                cert_weight=cert_report.weight,
-                cert_valid=cert_report.is_valid,
-                cert_defects=cert.defects,
-                optimum=optimum,
-                verdict=verdict,
-            )
+        yield ReportRow(
+            spec=f"{label}/support_leaf",
+            predicted=bound,
+            optimum=optimum,
+            verdict=_verdict(
+                optimum, bound, "upper", cert_report.is_valid or bool(cert.defects)
+            ),
+            **_cert_fields(cert, cert_report),
         )
 
         # (b) 3*gamma - n, only when the hypothesis holds
@@ -237,106 +209,77 @@ def _check_tree_bounds(params, opts) -> TheoremReport:
             dom_cert = certs.cert_tree_from_dominating_set(t, s)
             dom_report = validate(t, dom_cert.labeling, opts.threshold_mode)
             dom_bound = formulas.tree_domination_bound(profile.n, profile.gamma)
-            if not dom_report.is_valid:
-                verdict = "CERT_INVALID"
-            else:
-                verdict = _bound_verdict(optimum, dom_bound, "upper")
-            report.rows.append(
-                ReportRow(
-                    spec=f"{label}/domination",
-                    predicted=dom_bound,
-                    cert_weight=dom_report.weight,
-                    cert_valid=dom_report.is_valid,
-                    cert_defects=dom_cert.defects,
-                    optimum=optimum,
-                    verdict=verdict,
-                )
+            yield ReportRow(
+                spec=f"{label}/domination",
+                predicted=dom_bound,
+                optimum=optimum,
+                verdict=_verdict(optimum, dom_bound, "upper", dom_report.is_valid),
+                **_cert_fields(dom_cert, dom_report),
             )
 
         # (c) both candidate independence bounds, recorded side by side
         stated, proof = formulas.tree_independence_bounds(profile.n, profile.beta0)
         for tag, bound in (("independence_stated", stated), ("independence_proof", proof)):
-            report.rows.append(
-                ReportRow(
-                    spec=f"{label}/{tag}",
-                    predicted=bound,
-                    cert_weight=None,
-                    cert_valid=None,
-                    cert_defects=(),
-                    optimum=optimum,
-                    verdict=_bound_verdict(optimum, bound, "upper"),
-                )
+            yield ReportRow(
+                spec=f"{label}/{tag}",
+                predicted=bound,
+                optimum=optimum,
+                verdict=_verdict(optimum, bound, "upper"),
             )
-    return report
 
 
-def _check_delta_bound(params, opts) -> TheoremReport:
-    report = TheoremReport("delta_bound")
-    from .solver import delta_lower_bound
-
+def _check_delta_bound(params, opts) -> Iterator[ReportRow]:
     for label, g in params:
         bound = delta_lower_bound(g)
-        res = _exact(g, opts)
-        optimum = res.optimum if res else None
-        report.rows.append(
-            ReportRow(
-                spec=label,
-                predicted=bound,
-                cert_weight=None,
-                cert_valid=None,
-                cert_defects=(),
-                optimum=optimum,
-                verdict=_bound_verdict(optimum, bound, "lower"),
-            )
+        optimum = _exact(g, opts)
+        yield ReportRow(
+            spec=label,
+            predicted=bound,
+            optimum=optimum,
+            verdict=_verdict(optimum, bound, "lower"),
         )
-    return report
 
 
-def _check_subadditivity(params, opts) -> TheoremReport:
-    report = TheoremReport("subadditivity")
+def _check_subadditivity(params, opts) -> Iterator[ReportRow]:
     for g_spec, h_spec in params:
         g = generate(g_spec)
         h = generate(h_spec)
-        res_g = _exact(g, opts)
-        res_h = _exact(h, opts)
-        if res_g is None or res_h is None:
+        opt_g = _exact(g, opts)
+        opt_h = _exact(h, opts)
+        if opt_g is None or opt_h is None:
             continue
-        if res_g.optimum < 0 or res_h.optimum < 0:
+        if opt_g < 0 or opt_h < 0:
             continue  # hypothesis requires both operands non-negative
-        joined = join(g, h)
-        res_j = _exact(joined, opts)
-        optimum = res_j.optimum if res_j else None
-        bound = res_g.optimum + res_h.optimum
-        report.rows.append(
-            ReportRow(
-                spec=f"{g_spec.label()}v{h_spec.label()}",
-                predicted=bound,
-                cert_weight=None,
-                cert_valid=None,
-                cert_defects=(),
-                optimum=optimum,
-                verdict=_bound_verdict(optimum, bound, "upper"),
-            )
+        optimum = _exact(join(g, h), opts)
+        bound = opt_g + opt_h
+        yield ReportRow(
+            spec=f"{g_spec.label()}v{h_spec.label()}",
+            predicted=bound,
+            optimum=optimum,
+            verdict=_verdict(optimum, bound, "upper"),
         )
-    return report
 
 
-def _check_lemma(params, opts) -> TheoremReport:
+def _check_lemma(params, opts) -> Iterator[ReportRow]:
     n_max, m_max = params
     holds = not formulas.lemma_failures(n_max, m_max)
-    report = TheoremReport("lemma")
-    report.rows.append(
-        ReportRow(
-            spec=f"n<={n_max}_m<={m_max}",
-            predicted=1,
-            cert_weight=None,
-            cert_valid=None,
-            cert_defects=(),
-            optimum=1 if holds else 0,
-            verdict="BOUND_HOLDS" if holds else "MISMATCH",
-        )
+    yield ReportRow(
+        spec=f"n<={n_max}_m<={m_max}",
+        predicted=1,
+        optimum=1 if holds else 0,
+        verdict="BOUND_HOLDS" if holds else "MISMATCH",
     )
-    return report
+
+
+# the theorems that are not an exact family, by id
+_CHECKS = {
+    "corona_upper": _check_corona_upper,
+    "corona_lower": _check_corona_lower,
+    "tree_bounds": _check_tree_bounds,
+    "delta_bound": _check_delta_bound,
+    "subadditivity": _check_subadditivity,
+    "lemma": _check_lemma,
+}
 
 
 def check(
@@ -353,20 +296,12 @@ def check(
     """
     opts = solve_options or SolveOptions()
     if theorem_id in formulas.EXACT_VALUES:
-        return _check_exact_family(theorem_id, params, opts)
-    if theorem_id == "corona_upper":
-        return _check_corona_upper(params, opts)
-    if theorem_id == "corona_lower":
-        return _check_corona_lower(params, opts)
-    if theorem_id == "tree_bounds":
-        return _check_tree_bounds(params, opts)
-    if theorem_id == "delta_bound":
-        return _check_delta_bound(params, opts)
-    if theorem_id == "subadditivity":
-        return _check_subadditivity(params, opts)
-    if theorem_id == "lemma":
-        return _check_lemma(params, opts)
-    raise ValueError(f"unknown theorem id {theorem_id!r}")
+        rows = _check_exact_family(theorem_id, params, opts)
+    elif theorem_id in _CHECKS:
+        rows = _CHECKS[theorem_id](params, opts)
+    else:
+        raise ValueError(f"unknown theorem id {theorem_id!r}")
+    return TheoremReport(theorem_id, list(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -463,20 +398,10 @@ def export(report: TheoremReport, fmt: str) -> str:
     if fmt == "jsonl":
         lines = []
         for r in report.rows:
-            lines.append(
-                json.dumps(
-                    {
-                        "spec": r.spec,
-                        "predicted": str(r.predicted) if r.predicted is not None else None,
-                        "cert_weight": r.cert_weight,
-                        "cert_valid": r.cert_valid,
-                        "cert_defects": list(r.cert_defects),
-                        "optimum": r.optimum,
-                        "verdict": r.verdict,
-                    },
-                    sort_keys=True,
-                )
-            )
+            row = asdict(r)
+            if r.predicted is not None:
+                row["predicted"] = str(r.predicted)
+            lines.append(json.dumps(row, sort_keys=True))
         return "\n".join(lines) + "\n"
     if fmt == "table":
         rows = [_cells(r) for r in report.rows]

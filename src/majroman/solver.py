@@ -52,7 +52,6 @@ class SolveOptions:
     method: str = "auto"  # auto | brute | bb
     # accepted for compatibility; the search is serial and ignores it
     thread_count: int = 1
-    initial_upper_bound: Optional[int] = None
     seed_labeling: Optional[Tuple[int, ...]] = None
     node_limit: Optional[int] = None
     threshold_mode: str = "ceil"
@@ -396,10 +395,8 @@ def branch_and_bound(
     (-1, +1, 2). The witness is the lexicographically smallest optimum in
     branching order, and node counts are reproducible.
 
-    ``seed_labeling`` seeds the incumbent with a known valid labeling.
-    ``initial_upper_bound`` alone must be a weight known to be achievable
-    (e.g. from a validated certificate); the search is then started just
-    above it so that a witness is still produced. Seeding never changes
+    ``seed_labeling`` seeds the incumbent with a known valid labeling;
+    otherwise the incumbent is the all-2 labeling. Seeding never changes
     the optimum, only node counts.
     """
     opts = options or SolveOptions()
@@ -416,20 +413,11 @@ def branch_and_bound(
         if not report.is_valid:
             raise SolverError("seed_labeling is not a valid labeling")
         weight, witness = report.weight, tuple(opts.seed_labeling)
-    elif opts.initial_upper_bound is not None:
-        weight, witness = opts.initial_upper_bound + 1, None
     else:
         weight, witness = 2 * n, tuple([2] * n)
 
     search = _Search(g, order, weight, witness, allowed_unsat, opts.node_limit)
     search.dfs(0, 0)
-    if search.witness is None:
-        if opts.initial_upper_bound is not None and not search.truncated:
-            raise SolverError(
-                "initial_upper_bound was not achievable; pass a valid "
-                "seed_labeling instead"
-            )
-        raise InfeasibleError("search found no valid labeling")
     return OptResult(
         optimum=search.weight,
         witness=search.witness,

@@ -226,6 +226,15 @@ class TestBoundsAndLemma:
         code, out, _ = run(capsys, "bounds", "--tree", str(path))
         assert code == 0
         assert "gamma=2" in out and "support_leaf=2" in out
+        assert "domination=2" in out
+        # P_6 has gamma = 2 < n - beta0 = 3: 3*gamma - n = 0 is no bound
+        # (its optimum is 2), so none is printed
+        path = tmp_path / "p6.el"
+        path.write_text("6 5\n0 1\n1 2\n2 3\n3 4\n4 5\n")
+        code, out, _ = run(capsys, "bounds", "--tree", str(path))
+        assert code == 0
+        assert "domination upper bound:      inapplicable (gamma != n - beta0)" in out
+        assert "domination=None" in out
 
     def test_bounds_requires_input(self, capsys):
         code, _, err = run(capsys, "bounds")

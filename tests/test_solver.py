@@ -223,21 +223,6 @@ class TestBranchAndBound:
         with pytest.raises(SolverError):
             branch_and_bound(path(2), SolveOptions(seed_labeling=(-1, 1)))
 
-    def test_initial_upper_bound_achievable(self):
-        g = wheel(8)
-        plain = branch_and_bound(g)
-        res = branch_and_bound(
-            g, SolveOptions(initial_upper_bound=plain.optimum)
-        )
-        assert res.optimum == plain.optimum
-        assert validate(g, res.witness).is_valid
-
-    def test_initial_upper_bound_unachievable_rejected(self):
-        g = wheel(8)
-        opt = branch_and_bound(g).optimum
-        with pytest.raises(SolverError):
-            branch_and_bound(g, SolveOptions(initial_upper_bound=opt - 1))
-
     def test_node_limit_truncates(self):
         res = branch_and_bound(wheel(10), SolveOptions(node_limit=5))
         assert not res.proven
