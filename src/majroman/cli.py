@@ -23,7 +23,13 @@ from .graph import (
     serialize_edge_list,
 )
 from .labeling import serialize_labeling, validate
-from .solver import SolveOptions, SolverError, delta_lower_bound, solve
+from .solver import (
+    SolveOptions,
+    SolverError,
+    delta_lower_bound,
+    majority_lower_bound,
+    solve,
+)
 from .trees import TreeError, find_gamma_set_independent_complement, tree_profile
 
 
@@ -279,6 +285,11 @@ def cmd_bounds(args) -> int:
                 print(f"{p.source}: inapplicable ({p.reason})")
         if g.n >= 2:
             print(f"delta lower bound: {delta_lower_bound(g)}")
+        # holds on every graph, unlike the delta bound
+        print(
+            "majority lower bound: "
+            f"{majority_lower_bound(g, args.threshold_mode)}"
+        )
         print(f"RESULT family={spec.label()} predictions={len(preds)}")
         return 0
     raise CliError("provide --tree FILE or --family FAMILY")

@@ -11,6 +11,9 @@ Two independent routes:
   Memory stays near 3^9 x n int16 per array at any n.
 * ``branch_and_bound`` -- DFS over partial labelings with four safe
   pruning rules, usable beyond the brute-force cap and on sparse graphs.
+  Before searching it compares the incumbent with
+  ``majority_lower_bound`` (thr-th smallest degree + 2 - n); a seed that
+  meets the bound is optimal and is returned with no search at all.
 
 Both return the same optimum whenever both run. The all-2 labeling is
 valid on every graph (every closed sum is positive and there is no -1
@@ -398,6 +401,12 @@ def branch_and_bound(
     ``seed_labeling`` seeds the incumbent with a known valid labeling;
     otherwise the incumbent is the all-2 labeling. Seeding never changes
     the optimum, only node counts.
+
+    When the incumbent already weighs ``majority_lower_bound(g, mode)``,
+    no leaf is strictly lighter, so the search could only return the
+    incumbent: it is skipped, and the seed comes back proven with
+    ``nodes_explored == 0``. The all-2 start weighs 2n, above every
+    bound, so an unseeded solve always searches.
     """
     opts = options or SolveOptions()
     n = g.n
@@ -416,6 +425,16 @@ def branch_and_bound(
     else:
         weight, witness = 2 * n, tuple([2] * n)
 
+    if weight <= majority_lower_bound(g, opts.threshold_mode):
+        # no leaf is lighter than the incumbent: the search would only
+        # confirm it
+        return OptResult(
+            optimum=weight,
+            witness=witness,
+            nodes_explored=0,
+            method="branch_and_bound",
+            elapsed=time.perf_counter() - t0,
+        )
     search = _Search(g, order, weight, witness, allowed_unsat, opts.node_limit)
     search.dfs(0, 0)
     return OptResult(
@@ -444,6 +463,23 @@ def solve(g: Graph, options: Optional[SolveOptions] = None) -> OptResult:
     if choose_method(g, opts) == "brute":
         return brute_force(g, opts)
     return branch_and_bound(g, opts)
+
+
+def majority_lower_bound(g: Graph, threshold_mode: str = "ceil") -> int:
+    """thr-th smallest degree + 2 - n, where thr is the majority threshold.
+
+    A satisfied vertex v has f(N[v]) >= 1, and each of the n - deg(v) - 1
+    vertices outside N[v] weighs at least -1, so a valid labeling weighs
+    at least deg(v) + 2 - n. At least thr vertices are satisfied, so one
+    of them has a degree of at least the thr-th smallest. With thr = 0
+    the bound is -n. It holds on every graph, including n = 0 and
+    edgeless ones.
+    """
+    thr = majority_threshold(g.n, threshold_mode)
+    if thr == 0:
+        return -g.n
+    degrees = sorted(len(nbrs) for nbrs in g.adj)
+    return degrees[thr - 1] + 2 - g.n
 
 
 def delta_lower_bound(g: Graph) -> Fraction:

@@ -1,7 +1,11 @@
 """End-to-end CLI behavior through main(argv)."""
 
 import itertools
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -212,6 +216,23 @@ class TestCheck:
         assert code == 0
         assert "RESULT theorem=tree_bounds rows=6 unproven=6" in out
 
+    @pytest.mark.parametrize(
+        "theorem, rng, matches",
+        [("complete_minus_matching", "9..10", 2), ("complement_path", "12..40", 29)],
+    )
+    def test_dense_families_proven_at_root(self, capsys, theorem, rng, matches):
+        # the certificate meets the majority lower bound, so branch and
+        # bound proves it without a search
+        start = time.perf_counter()
+        code, out, _ = run(
+            capsys, "check", "--theorem", theorem, "--range", rng, "--strict"
+        )
+        assert time.perf_counter() - start < 5.0
+        assert code == 0
+        assert out.strip().splitlines()[-1] == (
+            f"RESULT theorem={theorem} rows={matches} match={matches}"
+        )
+
 
 class TestBoundsAndLemma:
     def test_bounds_family(self, capsys):
@@ -219,6 +240,7 @@ class TestBoundsAndLemma:
         assert code == 0
         assert "star: exact -2" in out
         assert "delta lower bound: -2" in out
+        assert "majority lower bound: -2" in out
 
     def test_bounds_tree_file(self, capsys, tmp_path):
         path = tmp_path / "p4.el"
@@ -278,6 +300,17 @@ class TestGlobalFlags:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "solve", "--file", "/no/such/file.el")
         assert code == 1 and "error:" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "majroman", "check", "--theorem", "star",
+         "--range", "2..4"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "RESULT theorem=star rows=3 match=3"
 
 
 def _smallest_params(family):

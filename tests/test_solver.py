@@ -28,9 +28,10 @@ from majroman.solver import (
     branch_and_bound,
     brute_force,
     delta_lower_bound,
+    majority_lower_bound,
     solve,
 )
-from majroman.certificates import cert_star, cert_wheel_fan
+from majroman.certificates import CERTIFICATES, cert_star, cert_wheel_fan
 
 
 def enumerate_optimum(g, threshold_mode="ceil"):
@@ -302,15 +303,23 @@ class TestGuardCapacityBound:
         opts = SolveOptions(threshold_mode=mode)
         res = branch_and_bound(g, opts)
         assert res.proven
-        assert res.optimum == brute_force(g, opts).optimum
+        brute = brute_force(g, opts)
+        assert res.optimum == brute.optimum
         report = validate(g, res.witness, mode)
         assert report.is_valid and report.weight == res.optimum
+        assert majority_lower_bound(g, mode) <= brute.optimum
+        seeded = branch_and_bound(
+            g, SolveOptions(threshold_mode=mode, seed_labeling=brute.witness)
+        )
+        assert seeded.proven and seeded.optimum == brute.optimum
 
     @pytest.mark.parametrize("n", [18, 20])
     def test_long_cycles_proven_under_node_limit(self, n):
         g = cycle(n)
         res = branch_and_bound(g, SolveOptions(node_limit=300_000))
         assert res.proven and res.optimum == 5
+        # an unseeded search starts above the majority bound: it searches
+        assert res.nodes_explored == {18: 37_440, 20: 51_084}[n]
         report = validate(g, res.witness)
         assert report.is_valid and report.weight == 5
 
@@ -318,6 +327,49 @@ class TestGuardCapacityBound:
     def test_frozen_witnesses(self, g, value, labels):
         res = branch_and_bound(g)
         assert (res.optimum, res.witness) == (value, labels)
+
+
+class TestMajorityLowerBound:
+    @pytest.mark.parametrize(
+        "family,n",
+        [
+            ("complement_path", 40),
+            ("complement_cycle", 40),
+            ("complete_minus_matching", 20),
+            ("complete", 40),
+            ("star", 40),
+        ],
+    )
+    def test_certificate_seed_proven_at_root(self, family, n):
+        cert = CERTIFICATES[family](n)
+        # a search would stop at the limit, unproven
+        res = branch_and_bound(
+            cert.graph, SolveOptions(seed_labeling=cert.labeling, node_limit=1)
+        )
+        assert res.nodes_explored == 0 and res.proven
+        assert res.witness == tuple(cert.labeling)
+        assert res.optimum == majority_lower_bound(cert.graph)
+
+    def test_seed_above_bound_still_searches(self):
+        cert = cert_wheel_fan(16, "wheel")
+        assert majority_lower_bound(cert.graph) < validate(
+            cert.graph, cert.labeling
+        ).weight
+        res = branch_and_bound(
+            cert.graph, SolveOptions(seed_labeling=cert.labeling)
+        )
+        assert res.proven and res.nodes_explored == 4134
+        assert res.optimum == -7
+
+    def test_values(self):
+        # thr-th smallest degree + 2 - n; thr = 0 gives -n
+        assert majority_lower_bound(star(5)) == -2
+        assert majority_lower_bound(complete(6)) == 1
+        assert majority_lower_bound(cycle(7)) == -3
+        assert majority_lower_bound(Graph(0, [])) == 0
+        assert majority_lower_bound(Graph(1, [])) == 1
+        assert majority_lower_bound(Graph(1, []), "floor") == -1
+        assert majority_lower_bound(Graph(4, []), "floor") == -2
 
 
 class TestDispatchAndBounds:
