@@ -191,6 +191,8 @@ def cmd_cert(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.count < 1:
+        raise CliError("--count must be >= 1")
     _warn_floor(args)
     opts = _solve_options(args)
     theorem = args.theorem
@@ -217,6 +219,12 @@ def cmd_check(args) -> int:
         params = harness.corona_audit_instances()
     elif theorem == "tree_bounds":
         r = _parse_range(args.range) if args.range else range(4, 14)
+        # fail before any solve rather than on the support/leaf counts
+        if r[0] < 2:
+            raise CliError(
+                f"{theorem}: n={r[0]} outside the theorem's domain "
+                "(needs n >= 2)"
+            )
         params = [
             GraphSpec("random_tree", n=r[i % len(r)], seed=args.seed + i)
             for i in range(args.count)

@@ -238,6 +238,13 @@ class _Search:
         The bound is never below -k, so (d) implies (a) and the search
         tests (d) alone.
 
+    Rules (b) and (c) are tested before a child is applied: one
+    read-only pass over N[u] finds the closed neighbours each of the -1
+    and +1 children would kill and the guards they would break, so a
+    dead child is counted as a node but never assigned or undone. The
+    2 child breaks no guard and kills no vertex. Rule (d) is tested on
+    entry to a node.
+
     Every rule only cuts subtrees with no valid leaf lighter than the
     incumbent, so the incumbent sequence, and with it the witness, is the
     same as with no pruning at all.
@@ -267,11 +274,12 @@ class _Search:
             self.slack[i + 1] = self.slack[i] + 1 - 2 * len(g.adj[v])
         self.dead = [False] * n
         self.dead_count = 0
-        self.dead_stack = []
         self.nodes = 0
         self.truncated = False
 
-    def assign(self, u: int, x: int) -> bool:
+    def assign(self, u: int, x: int, newly_dead) -> None:
+        """Label u with x; ``newly_dead`` are the closed neighbours of u
+        whose closed sum can no longer reach 1 once it is labelled."""
         label = self.label
         label[u] = x
         un_open = self.un_open
@@ -283,7 +291,6 @@ class _Search:
         for v in self.closed_nbrs[u]:
             sum_closed[v] += x
             un_closed[v] -= 1
-        ok = True
         if x == 2:
             covered = 0
             for v in self.open_nbrs[u]:
@@ -295,30 +302,16 @@ class _Search:
         else:
             for v in self.open_nbrs[u]:
                 un_open[v] -= 1
-            if x == -1 and un_open[u] == 0 and twos_open[u] == 0:
-                ok = False
-            else:
-                for w in self.open_nbrs[u]:
-                    if label[w] == -1 and un_open[w] == 0 and twos_open[w] == 0:
-                        ok = False
-                        break
-        newly_dead = []
         dead = self.dead
-        for v in self.closed_nbrs[u]:
-            if not dead[v] and sum_closed[v] + 2 * un_closed[v] < 1:
-                dead[v] = True
-                newly_dead.append(v)
-        self.dead_count += len(newly_dead)
-        self.dead_stack.append(newly_dead)
-        if self.dead_count > self.allowed_unsat:
-            ok = False
-        return ok
-
-    def unassign(self, u: int, x: int) -> None:
-        newly_dead = self.dead_stack.pop()
-        self.dead_count -= len(newly_dead)
         for v in newly_dead:
-            self.dead[v] = False
+            dead[v] = True
+        self.dead_count += len(newly_dead)
+
+    def unassign(self, u: int, x: int, newly_dead) -> None:
+        self.dead_count -= len(newly_dead)
+        dead = self.dead
+        for v in newly_dead:
+            dead[v] = False
         label = self.label
         un_open = self.un_open
         twos_open = self.twos_open
@@ -377,16 +370,49 @@ class _Search:
         if self.capacity_bound_reaches(depth, self.weight - cur_w):
             return
         u = self.order[depth]
-        for x in (-1, 1, 2):
+        # one read-only pass over N[u] decides rules (b) and (c) for the
+        # -1 and +1 children; the 2 child always lives
+        label = self.label
+        un_open = self.un_open
+        twos_open = self.twos_open
+        sum_closed = self.sum_closed
+        un_closed = self.un_closed
+        dead = self.dead
+        # (b): u labelled -1 needs a neighbour that is unassigned or a 2
+        minus_lives = un_open[u] > 0 or twos_open[u] > 0
+        plus_lives = True
+        # (c): a closed neighbour's sum + 2 * unassigned drops by 3 under
+        # -1 and by 1 under +1, and is dead once below 1
+        dead_minus = []
+        dead_plus = []
+        for v in self.closed_nbrs[u]:
+            # (b): a -1 neighbour whose last unassigned neighbour is u
+            # and that has no 2-neighbour dies unless u takes 2
+            if label[v] == -1 and un_open[v] == 1 and not twos_open[v]:
+                minus_lives = plus_lives = False
+                break
+            if not dead[v]:
+                potential = sum_closed[v] + 2 * un_closed[v]
+                if potential < 4:
+                    dead_minus.append(v)
+                    if potential < 2:
+                        dead_plus.append(v)
+        room = self.allowed_unsat - self.dead_count
+        children = (
+            (-1, dead_minus, minus_lives and len(dead_minus) <= room),
+            (1, dead_plus, plus_lives and len(dead_plus) <= room),
+            (2, (), True),
+        )
+        for x, newly_dead, lives in children:
             # also ends this loop once a child's subtree used up the limit
             if self.nodes >= self.node_limit:
                 self.truncated = True
                 return
             self.nodes += 1
-            ok = self.assign(u, x)
-            if ok:
+            if lives:
+                self.assign(u, x, newly_dead)
                 self.dfs(depth + 1, cur_w + x)
-            self.unassign(u, x)
+                self.unassign(u, x, newly_dead)
 
 
 def branch_and_bound(

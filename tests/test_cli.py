@@ -196,6 +196,29 @@ class TestCheck:
         )
         assert out == ""
 
+    @pytest.mark.parametrize("theorem", ["tree_bounds", "delta_bound", "subadditivity"])
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_count_below_one_rejected(self, capsys, theorem, count):
+        code, out, err = run(
+            capsys, "check", "--theorem", theorem, "--count", count
+        )
+        assert code == 1
+        assert "error: --count must be >= 1" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("rng, n", [("1..3", 1), ("0..0", 0)])
+    def test_tree_bounds_order_below_two_rejected(self, capsys, rng, n):
+        # rejected before any solve, naming the theorem and the order
+        code, out, err = run(
+            capsys, "check", "--theorem", "tree_bounds", "--range", rng
+        )
+        assert code == 1
+        assert (
+            f"error: tree_bounds: n={n} outside the theorem's domain "
+            "(needs n >= 2)" in err
+        )
+        assert out == ""
+
     def test_node_limit_leaves_rows_unproven(self, capsys):
         code, out, _ = run(
             capsys, "check", "--theorem", "wheel", "--range", "13..13",

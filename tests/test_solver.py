@@ -1,6 +1,7 @@
 """Exact solver: brute force, branch and bound, seeding, and the degree
 lower bound."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -327,6 +328,46 @@ class TestGuardCapacityBound:
     def test_frozen_witnesses(self, g, value, labels):
         res = branch_and_bound(g)
         assert (res.optimum, res.witness) == (value, labels)
+
+
+# recorded before rules (b) and (c) were decided ahead of each child: the
+# search must cut, count and return exactly as it did
+G40_WITNESS = (
+    -1, 1, 2, -1, -1, 2, -1, -1, -1, -1, 2, 2, 2, -1, -1, -1, 2, -1, -1, 1,
+    2, 2, -1, -1, -1, -1, -1, -1, 2, -1, -1, -1, 1, -1, 2, 2, -1, 2, 2, -1,
+)
+# per mode: summed nodes, and sha256 of repr() of the list of witnesses
+SMALL_PINS = {
+    "ceil": (
+        15678,
+        "5ab7e26586b4c4cd87af871d1d18e721fe126cfc5b45c5b5e84b1fcae40a74de",
+    ),
+    "floor": (
+        15114,
+        "505d087e56029f16b4330eaedf0f7fe7c081e1c0ec423453837dab9e541a5a0c",
+    ),
+}
+
+
+class TestSearchKernelPins:
+    def test_node_limited_gnp40(self):
+        res = branch_and_bound(gnp(40, 0.2, 1), SolveOptions(node_limit=300_000))
+        assert (res.nodes_explored, res.proven, res.optimum) == (300_000, False, 5)
+        assert res.witness == G40_WITNESS
+
+    @pytest.mark.parametrize("mode", ["ceil", "floor"])
+    def test_small_graphs(self, mode):
+        graphs = []
+        for n in range(1, 11):
+            graphs += [random_tree(n, n)] + [gnp(n, p, n) for p in (0.2, 0.5, 0.8)]
+        results = [
+            branch_and_bound(g, SolveOptions(threshold_mode=mode)) for g in graphs
+        ]
+        assert all(r.proven for r in results)
+        digest = hashlib.sha256(
+            repr([r.witness for r in results]).encode()
+        ).hexdigest()
+        assert (sum(r.nodes_explored for r in results), digest) == SMALL_PINS[mode]
 
 
 class TestMajorityLowerBound:
