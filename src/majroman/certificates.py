@@ -13,10 +13,16 @@ Index convention: the source's 1-based v_1..v_n maps to vertices 0..n-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .formulas import ceil_div, corona_lower_bound, corona_upper_bound
+from .formulas import (
+    ceil_div,
+    corona_lower_bound,
+    corona_upper_bound,
+    exact_value,
+    outside_domain,
+)
 from .graph import Graph, GraphSpec, generate
 from .solver import SolveOptions, solve
 from .trees import is_tree
@@ -61,6 +67,17 @@ def _fill(n: int, clauses: Sequence[Tuple[Iterable[int], int]]):
     return tuple(labels), tuple(defects)
 
 
+def _exact(family: str, *params, transcription: str = "literal") -> Certificate:
+    """An exact family's certificate before its labels: its graph, its
+    spec, and the closed form's value as the claimed weight. Raises
+    CertificateError outside the closed form's domain."""
+    claimed = exact_value(family, *params)
+    if claimed is None:
+        raise CertificateError(outside_domain(family, *params))
+    spec = GraphSpec.of(family, *params)
+    return Certificate(generate(spec), (), claimed, family, transcription, spec)
+
+
 # ---------------------------------------------------------------------------
 # complete graphs and joins of completes
 
@@ -68,8 +85,7 @@ def _fill(n: int, clauses: Sequence[Tuple[Iterable[int], int]]):
 def cert_complete(n: int) -> Certificate:
     """Weight-matching labeling of K_n (the source states the value only,
     so the construction is ours: one or two 2s, padding +1s, rest -1)."""
-    if n < 2:
-        raise CertificateError("requires n >= 2")
+    cert = _exact("complete", n, transcription="repaired")
     if n == 3:
         labels = (2, 1, -1)
     elif n % 2 == 0:
@@ -78,36 +94,18 @@ def cert_complete(n: int) -> Certificate:
     else:
         ones = (n - 5) // 2
         labels = (2, 2) + (1,) * ones + (-1,) * (n - 2 - ones)
-    spec = GraphSpec("complete", n=n)
-    return Certificate(
-        graph=generate(spec),
-        labeling=labels,
-        claimed_weight=2 if n == 3 else 1,
-        source="complete",
-        transcription="repaired",
-        spec=spec,
-    )
+    return replace(cert, labeling=labels)
 
 
 def cert_star(n: int) -> Certificate:
     """Hub 2, leaves -1; attains the exact star value 3 - n."""
-    if n < 2:
-        raise CertificateError("requires n >= 2")
-    spec = GraphSpec("star", n=n)
-    return Certificate(
-        graph=generate(spec),
-        labeling=(2,) + (-1,) * (n - 1),
-        claimed_weight=3 - n,
-        source="star",
-        transcription="repaired",
-        spec=spec,
-    )
+    cert = _exact("star", n, transcription="repaired")
+    return replace(cert, labeling=(2,) + (-1,) * (n - 1))
 
 
 def cert_join_complete(m: int, n: int) -> Certificate:
     """Case labelings for K_m v K_n (m even/odd x n even/odd)."""
-    if not (2 <= m <= n) or m == 3 or n == 3:
-        raise CertificateError("requires 2 <= m <= n and m, n != 3")
+    cert = _exact("join_complete", m, n)
     # x-side (paper indices 1..m -> 0..m-1)
     if m % 2 == 0:
         x_clauses = [
@@ -135,15 +133,8 @@ def cert_join_complete(m: int, n: int) -> Certificate:
         ]
     x_labels, x_defects = _fill(m, x_clauses)
     y_labels, y_defects = _fill(n, y_clauses)
-    spec = GraphSpec("join_complete", m=m, n=n)
-    return Certificate(
-        graph=generate(spec),
-        labeling=x_labels + y_labels,
-        claimed_weight=1,
-        source="join_complete",
-        transcription="literal",
-        spec=spec,
-        defects=x_defects + y_defects,
+    return replace(
+        cert, labeling=x_labels + y_labels, defects=x_defects + y_defects
     )
 
 
@@ -153,10 +144,9 @@ def cert_join_complete(m: int, n: int) -> Certificate:
 
 def cert_wheel_fan(n: int, family: str = "wheel") -> Certificate:
     """Hub 2; +1 at rim positions 3k for 1 <= k <= ceil(n/6); -1 otherwise."""
-    if n < 4:
-        raise CertificateError("requires n >= 4")
     if family not in ("wheel", "fan"):
         raise CertificateError("family must be 'wheel' or 'fan'")
+    cert = _exact(family, n)
     ones = [3 * k for k in range(1, ceil_div(n, 6) + 1)]
     clauses = [
         ([0], 2),
@@ -165,22 +155,12 @@ def cert_wheel_fan(n: int, family: str = "wheel") -> Certificate:
     ]
     labels, defects = _fill(n, clauses)
     defects = tuple(d for d in defects if "multiple clauses" not in d)
-    spec = GraphSpec(family, n=n)
-    return Certificate(
-        graph=generate(spec),
-        labeling=labels,
-        claimed_weight=2 * ceil_div(n, 6) - n + 3,
-        source=family,
-        transcription="literal",
-        spec=spec,
-        defects=defects,
-    )
+    return replace(cert, labeling=labels, defects=defects)
 
 
 def cert_complement_path(n: int) -> Certificate:
     """Residue-class labelings of the complement of a path, weight -1."""
-    if n < 12:
-        raise CertificateError("requires n >= 12")
+    cert = _exact("complement_path", n)
     k = n // 3
     if n % 3 == 0:
         clauses = [
@@ -202,37 +182,19 @@ def cert_complement_path(n: int) -> Certificate:
     labels, defects = _fill(n, clauses)
     if n % 3 == 1:
         defects = tuple(d for d in defects if "multiple clauses" not in d)
-    spec = GraphSpec("complement_path", n=n)
-    return Certificate(
-        graph=generate(spec),
-        labeling=labels,
-        claimed_weight=-1,
-        source="complement_path",
-        transcription="literal",
-        spec=spec,
-        defects=defects,
-    )
+    return replace(cert, labeling=labels, defects=defects)
 
 
 def cert_complement_cycle(n: int) -> Certificate:
     """The complement-of-path labeling reused on the complement of a cycle."""
+    cert = _exact("complement_cycle", n)
     base = cert_complement_path(n)
-    spec = GraphSpec("complement_cycle", n=n)
-    return Certificate(
-        graph=generate(spec),
-        labeling=base.labeling,
-        claimed_weight=-1,
-        source="complement_cycle",
-        transcription="literal",
-        spec=spec,
-        defects=base.defects,
-    )
+    return replace(cert, labeling=base.labeling, defects=base.defects)
 
 
 def cert_complete_minus_matching(n: int) -> Certificate:
     """-1 on v_2..v_{n+2}; 2 on v_1, v_{2n}; +1 otherwise."""
-    if n < 3:
-        raise CertificateError("requires n >= 3")
+    cert = _exact("complete_minus_matching", n)
     order = 2 * n
     clauses = [
         (range(1, n + 2), -1),
@@ -241,16 +203,7 @@ def cert_complete_minus_matching(n: int) -> Certificate:
     ]
     labels, defects = _fill(order, clauses)
     defects = tuple(d for d in defects if "multiple clauses" not in d)
-    spec = GraphSpec("complete_minus_matching", n=n)
-    return Certificate(
-        graph=generate(spec),
-        labeling=labels,
-        claimed_weight=0,
-        source="complete_minus_matching",
-        transcription="literal",
-        spec=spec,
-        defects=defects,
-    )
+    return replace(cert, labeling=labels, defects=defects)
 
 
 # ---------------------------------------------------------------------------
@@ -260,21 +213,12 @@ def cert_complete_minus_matching(n: int) -> Certificate:
 def cert_corona_k3(k: int) -> Certificate:
     """K_{3k} o K_3: anchors all 2; copies 1..k labeled (1,-1,-1); the
     remaining 2k copies all -1. Weight -k, satisfied count exactly 6k."""
-    if k < 1:
-        raise CertificateError("requires k >= 1")
+    cert = _exact("corona_k3", k)
     hubs = 3 * k
     labels = [2] * hubs
     for i in range(hubs):
         labels += [1, -1, -1] if i < k else [-1, -1, -1]
-    spec = GraphSpec("corona_k3", k=k)
-    return Certificate(
-        graph=generate(spec),
-        labeling=tuple(labels),
-        claimed_weight=-k,
-        source="corona_k3",
-        transcription="literal",
-        spec=spec,
-    )
+    return replace(cert, labeling=tuple(labels))
 
 
 def _corona_parts(g_spec: GraphSpec, h_spec: GraphSpec):

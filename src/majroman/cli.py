@@ -190,31 +190,27 @@ def cmd_cert(args) -> int:
     return 0
 
 
+# the theorems whose instances do not depend on --range
+_NO_RANGE = ("corona_upper", "corona_lower", "delta_bound", "subadditivity", "lemma")
+
+
 def cmd_check(args) -> int:
+    theorem = args.theorem
+    if args.range is not None and theorem in _NO_RANGE:
+        raise CliError(f"{theorem} takes no --range")
     if args.count < 1:
         raise CliError("--count must be >= 1")
     _warn_floor(args)
     opts = _solve_options(args)
-    theorem = args.theorem
     if theorem in formulas.EXACT_VALUES:
-        r = _parse_range(args.range)
-        fields = FAMILIES[theorem].fields
-        if len(fields) == 1:
-            params = list(r)
-            # fail before any solve rather than on a certificate's guard
-            for p in params:
-                if formulas.exact_value(theorem, p) is None:
-                    raise CliError(
-                        f"{theorem}: {fields[0]}={p} outside the closed "
-                        f"form's domain ({formulas.EXACT_VALUES[theorem][1]})"
-                    )
-        else:
-            # every parameter tuple over the range that the value covers
-            params = [
-                p
-                for p in itertools.product(r, repeat=len(fields))
-                if formulas.exact_value(theorem, *p) is not None
-            ]
+        arity = len(FAMILIES[theorem].fields)
+        tuples = list(itertools.product(_parse_range(args.range), repeat=arity))
+        params = [p for p in tuples if formulas.exact_value(theorem, *p) is not None]
+        # fail before any solve rather than on a certificate's guard; a
+        # family of two parameters runs the pairs its value covers, if any
+        if len(params) < len(tuples) and (arity == 1 or not params):
+            first = next(p for p in tuples if formulas.exact_value(theorem, *p) is None)
+            raise CliError(formulas.outside_domain(theorem, *first))
     elif theorem in ("corona_upper", "corona_lower"):
         params = harness.corona_audit_instances()
     elif theorem == "tree_bounds":

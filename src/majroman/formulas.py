@@ -2,7 +2,8 @@
 functions of the family parameters.
 
 Every formula carries an explicit applicability guard; outside its guard a
-prediction is flagged inapplicable rather than extrapolated. Where the
+prediction is flagged inapplicable rather than extrapolated. Each exact
+family's value and domain are stated once, in ``EXACT_VALUES``. Where the
 source states one bound but its own construction attains another (the
 corona upper bound, the tree independence bound), both versions are
 computed side by side so the harness can report which survives.
@@ -11,9 +12,9 @@ computed side by side so the harness can report which survives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
-from .graph import GraphSpec, generate
+from .graph import FAMILIES, GraphSpec, generate
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -31,64 +32,6 @@ class Prediction:
     @staticmethod
     def inapplicable(kind: str, source: str, reason: str) -> "Prediction":
         return Prediction(kind, source, None, applicable=False, reason=reason)
-
-
-# ---------------------------------------------------------------------------
-# per-family exact values
-
-
-def complete_value(n: int) -> int:
-    if n < 2:
-        raise ValueError("complete-graph value requires n >= 2")
-    return 2 if n == 3 else 1
-
-
-def wheel_value(n: int) -> int:
-    if n < 4:
-        raise ValueError("wheel value requires n >= 4")
-    return 2 * ceil_div(n, 6) - n + 3
-
-
-def fan_value(n: int) -> int:
-    if n < 4:
-        raise ValueError("fan value requires n >= 4")
-    return wheel_value(n)
-
-
-def star_value(n: int) -> int:
-    if n < 2:
-        raise ValueError("star value requires n >= 2")
-    return 3 - n
-
-
-def complement_path_value(n: int) -> int:
-    if n < 12:
-        raise ValueError("complement-of-path value requires n >= 12")
-    return -1
-
-
-def complement_cycle_value(n: int) -> int:
-    if n < 12:
-        raise ValueError("complement-of-cycle value requires n >= 12")
-    return -1
-
-
-def complete_minus_matching_value(n: int) -> int:
-    if n < 3:
-        raise ValueError("K_{2n}-M value requires n >= 3")
-    return 0
-
-
-def join_complete_value(m: int, n: int) -> int:
-    if not (2 <= m <= n) or m == 3 or n == 3:
-        raise ValueError("join value requires 2 <= m <= n and m, n != 3")
-    return 1
-
-
-def corona_k3_value(k: int) -> int:
-    if k < 1:
-        raise ValueError("K_{3k} o K_3 value requires k >= 1")
-    return -k
 
 
 # ---------------------------------------------------------------------------
@@ -170,27 +113,55 @@ def lemma_failures(n_max: int, m_max: int) -> List[Tuple[int, int]]:
 # prediction dispatch
 
 
-# exact family -> (value function, why it is inapplicable); each value
-# function raises ValueError outside its guard
+class ExactFamily(NamedTuple):
+    """A family theorem: the closed-form value, the test of the parameter
+    tuples it covers, and that domain as text. Parameters come in the
+    family's GraphSpec field order."""
+
+    value: Callable[..., int]
+    covers: Callable[..., bool]
+    domain: str
+
+
+def _wheel_fan(n: int) -> int:
+    return 2 * ceil_div(n, 6) - n + 3
+
+
+# every exact family, by its graph.FAMILIES name
 EXACT_VALUES = {
-    "complete": (complete_value, "needs n >= 2"),
-    "star": (star_value, "needs n >= 2"),
-    "wheel": (wheel_value, "needs n >= 4"),
-    "fan": (fan_value, "needs n >= 4"),
-    "complement_path": (complement_path_value, "needs n >= 12"),
-    "complement_cycle": (complement_cycle_value, "needs n >= 12"),
-    "complete_minus_matching": (complete_minus_matching_value, "needs n >= 3"),
-    "join_complete": (join_complete_value, "needs 2 <= m <= n and m, n != 3"),
-    "corona_k3": (corona_k3_value, "needs k >= 1"),
+    "complete": ExactFamily(
+        lambda n: 2 if n == 3 else 1, lambda n: n >= 2, "needs n >= 2"
+    ),
+    "star": ExactFamily(lambda n: 3 - n, lambda n: n >= 2, "needs n >= 2"),
+    "wheel": ExactFamily(_wheel_fan, lambda n: n >= 4, "needs n >= 4"),
+    "fan": ExactFamily(_wheel_fan, lambda n: n >= 4, "needs n >= 4"),
+    "complement_path": ExactFamily(lambda n: -1, lambda n: n >= 12, "needs n >= 12"),
+    "complement_cycle": ExactFamily(lambda n: -1, lambda n: n >= 12, "needs n >= 12"),
+    "complete_minus_matching": ExactFamily(
+        lambda n: 0, lambda n: n >= 3, "needs n >= 3"
+    ),
+    "join_complete": ExactFamily(
+        lambda m, n: 1,
+        lambda m, n: 2 <= m <= n and 3 not in (m, n),
+        "needs 2 <= m <= n and m, n != 3",
+    ),
+    "corona_k3": ExactFamily(lambda k: -k, lambda k: k >= 1, "needs k >= 1"),
 }
 
 
 def exact_value(family: str, *params) -> Optional[int]:
-    """An exact family's value at its parameters, or None outside its guard."""
-    try:
-        return EXACT_VALUES[family][0](*params)
-    except ValueError:
-        return None
+    """An exact family's value at its parameters, or None outside its domain."""
+    fam = EXACT_VALUES[family]
+    return fam.value(*params) if fam.covers(*params) else None
+
+
+def outside_domain(family: str, *params) -> str:
+    """Why an exact family's parameters get no value, naming each one."""
+    given = ", ".join(f"{f}={p}" for f, p in zip(FAMILIES[family].fields, params))
+    return (
+        f"{family}: {given} outside the closed form's domain "
+        f"({EXACT_VALUES[family].domain})"
+    )
 
 
 def predict(spec: GraphSpec) -> List[Prediction]:
@@ -204,7 +175,7 @@ def predict(spec: GraphSpec) -> List[Prediction]:
     if f in EXACT_VALUES:
         value = exact_value(f, *spec.params())
         if value is None:
-            out.append(Prediction.inapplicable("exact", f, EXACT_VALUES[f][1]))
+            out.append(Prediction.inapplicable("exact", f, EXACT_VALUES[f].domain))
         else:
             out.append(Prediction("exact", f, value))
     elif f == "corona":

@@ -288,11 +288,14 @@ def check(
     """Run one theorem check over a parameter iterable.
 
     Parameter meanings per theorem: exact family checks take orders n (or
-    k for the K_3 corona), and ``join_complete`` takes (m, n) pairs;
-    ``corona_upper``, ``corona_lower`` and ``subadditivity`` take spec
-    pairs; ``tree_bounds`` takes random-tree
-    specs; ``delta_bound`` takes (label, graph) pairs; ``lemma`` takes
-    (n_max, m_max).
+    k for the K_3 corona), or tuples of the family's parameters in field
+    order, such as the (m, n) pairs of ``join_complete``; a parameter
+    outside the closed form's domain raises ``CertificateError`` with the
+    message of ``formulas.outside_domain``. ``corona_upper``,
+    ``corona_lower`` and ``subadditivity`` take spec pairs;
+    ``tree_bounds`` takes random-tree specs; ``delta_bound`` takes
+    (label, graph) pairs; ``lemma`` takes (n_max, m_max). On the command
+    line only the exact families and ``tree_bounds`` read ``--range``.
     """
     opts = solve_options or SolveOptions()
     if theorem_id in formulas.EXACT_VALUES:

@@ -122,7 +122,7 @@ def test_criterion_06_join_of_completes():
                 assert value == 1
                 # consistency: the join of completes is K_{m+n}
                 assert cert.graph == complete(m + n)
-                assert value == formulas.complete_value(m + n)
+                assert value == formulas.exact_value("complete", m + n)
 
 
 def test_criterion_07_corona_k3():

@@ -1,11 +1,13 @@
 """Constructive labelings: claimed weights, validity, and defect
 reporting."""
 
+import itertools
 import random
 
 import pytest
 
 from majroman.certificates import (
+    CERTIFICATES,
     CertificateError,
     cert_complement_cycle,
     cert_complement_path,
@@ -20,8 +22,16 @@ from majroman.certificates import (
     cert_tree_support_leaf,
     cert_wheel_fan,
 )
-from majroman.formulas import tree_support_leaf_bound
-from majroman.graph import GraphSpec, complement, cycle, path, random_tree, star
+from majroman.formulas import EXACT_VALUES, exact_value, tree_support_leaf_bound
+from majroman.graph import (
+    FAMILIES,
+    GraphSpec,
+    complement,
+    cycle,
+    path,
+    random_tree,
+    star,
+)
 from majroman.labeling import satisfied_count, validate, weight
 from majroman.solver import SolveOptions, brute_force
 from majroman.trees import count_supports_leaves
@@ -31,6 +41,22 @@ def assert_valid_at_claim(cert):
     report = validate(cert.graph, cert.labeling)
     assert report.is_valid, (cert.source, report)
     assert report.weight == cert.claimed_weight
+
+
+@pytest.mark.parametrize("family", list(EXACT_VALUES))
+def test_certificate_domain_is_the_closed_forms(family):
+    # the builder refuses exactly the parameters the closed form does not
+    # cover, and elsewhere attains the closed form's value
+    arity = len(FAMILIES[family].fields)
+    for params in itertools.product(range(16), repeat=arity):
+        value = exact_value(family, *params)
+        if value is None:
+            with pytest.raises(CertificateError):
+                CERTIFICATES[family](*params)
+            continue
+        cert = CERTIFICATES[family](*params)
+        assert cert.claimed_weight == value, params
+        assert_valid_at_claim(cert)
 
 
 class TestComplete:

@@ -126,6 +126,27 @@ class TestCert:
         code, _, err = run(capsys, "cert", "--theorem", "join", "--n", "3")
         assert code == 1 and "error: theorem join needs --m" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["wheel", "--n", "3"],
+                "wheel: n=3 outside the closed form's domain (needs n >= 4)",
+            ),
+            (
+                ["join", "--m", "3", "--n", "5"],
+                "join_complete: m=3, n=5 outside the closed form's domain "
+                "(needs 2 <= m <= n and m, n != 3)",
+            ),
+        ],
+    )
+    def test_outside_domain(self, capsys, argv, message):
+        # the same message as check's pre-check
+        code, out, err = run(capsys, "cert", "--theorem", *argv)
+        assert code == 1
+        assert err == f"error: {message}\n"
+        assert out == ""
+
 
 class TestCheck:
     def test_star_strict_all_match(self, capsys):
@@ -194,6 +215,33 @@ class TestCheck:
             f"error: {theorem}: n={n} outside the closed form's domain ({reason})"
             in err
         )
+        assert out == ""
+
+    @pytest.mark.parametrize("rng, lo", [("3..3", 3), ("1..1", 1)])
+    def test_range_covering_no_pair(self, capsys, rng, lo):
+        # an empty table would pass --strict without checking anything
+        code, out, err = run(
+            capsys, "check", "--theorem", "join_complete", "--range", rng, "--strict"
+        )
+        assert code == 1
+        assert err == (
+            f"error: join_complete: m={lo}, n={lo} outside the closed form's "
+            "domain (needs 2 <= m <= n and m, n != 3)\n"
+        )
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "theorem",
+        ["corona_upper", "corona_lower", "delta_bound", "subadditivity", "lemma"],
+    )
+    def test_range_rejected_where_unread(self, capsys, theorem):
+        # these theorems build their instances without --range; a narrowed
+        # run must not silently become the default one
+        code, out, err = run(
+            capsys, "check", "--theorem", theorem, "--range", "1..3", "--count", "2"
+        )
+        assert code == 1
+        assert err == f"error: {theorem} takes no --range\n"
         assert out == ""
 
     @pytest.mark.parametrize("theorem", ["tree_bounds", "delta_bound", "subadditivity"])

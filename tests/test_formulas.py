@@ -5,22 +5,14 @@ import pytest
 
 from majroman.formulas import (
     ceil_div,
-    complement_cycle_value,
-    complement_path_value,
-    complete_minus_matching_value,
-    complete_value,
-    corona_k3_value,
     corona_lower_bound,
     corona_upper_bound,
-    fan_value,
-    join_complete_value,
+    exact_value,
     lemma_inequality_holds,
     predict,
-    star_value,
     tree_domination_bound,
     tree_independence_bounds,
     tree_support_leaf_bound,
-    wheel_value,
 )
 from majroman.graph import GraphSpec
 from majroman.solver import brute_force
@@ -38,54 +30,46 @@ class TestCeilDiv:
 
 class TestExactValues:
     def test_complete(self):
-        assert complete_value(3) == 2
-        assert complete_value(2) == 1
-        assert complete_value(6) == 1
-        with pytest.raises(ValueError):
-            complete_value(1)
+        assert exact_value("complete", 3) == 2
+        assert exact_value("complete", 2) == 1
+        assert exact_value("complete", 6) == 1
+        assert exact_value("complete", 1) is None
 
     def test_wheel_and_fan(self):
-        assert wheel_value(7) == 0
-        assert wheel_value(12) == -5
-        assert wheel_value(4) == 1
+        assert exact_value("wheel", 7) == 0
+        assert exact_value("wheel", 12) == -5
+        assert exact_value("wheel", 4) == 1
         for n in range(4, 15):
-            assert fan_value(n) == wheel_value(n)
-        with pytest.raises(ValueError):
-            wheel_value(3)
+            assert exact_value("fan", n) == exact_value("wheel", n)
+        assert exact_value("wheel", 3) is None
 
     def test_star(self):
-        assert star_value(5) == -2
+        assert exact_value("star", 5) == -2
         for n in range(2, 15):
-            assert star_value(n) == 3 - n
-        with pytest.raises(ValueError):
-            star_value(1)
+            assert exact_value("star", n) == 3 - n
+        assert exact_value("star", 1) is None
 
     def test_complements(self):
-        assert complement_path_value(12) == -1
-        assert complement_cycle_value(15) == -1
-        with pytest.raises(ValueError):
-            complement_path_value(11)
-        with pytest.raises(ValueError):
-            complement_cycle_value(11)
+        assert exact_value("complement_path", 12) == -1
+        assert exact_value("complement_cycle", 15) == -1
+        assert exact_value("complement_path", 11) is None
+        assert exact_value("complement_cycle", 11) is None
 
     def test_complete_minus_matching(self):
         for n in range(3, 10):
-            assert complete_minus_matching_value(n) == 0
-        with pytest.raises(ValueError):
-            complete_minus_matching_value(2)
+            assert exact_value("complete_minus_matching", n) == 0
+        assert exact_value("complete_minus_matching", 2) is None
 
     def test_join(self):
-        assert join_complete_value(2, 2) == 1
-        assert join_complete_value(4, 7) == 1
+        assert exact_value("join_complete", 2, 2) == 1
+        assert exact_value("join_complete", 4, 7) == 1
         for bad in [(3, 4), (4, 3), (1, 5), (5, 2)]:
-            with pytest.raises(ValueError):
-                join_complete_value(*bad)
+            assert exact_value("join_complete", *bad) is None
 
     def test_corona_k3(self):
-        assert corona_k3_value(1) == -1
-        assert corona_k3_value(2) == -2
-        with pytest.raises(ValueError):
-            corona_k3_value(0)
+        assert exact_value("corona_k3", 1) == -1
+        assert exact_value("corona_k3", 2) == -2
+        assert exact_value("corona_k3", 0) is None
 
 
 class TestTreeBounds:
@@ -147,7 +131,7 @@ class TestCoronaBounds:
     def test_lower_matches_corona_k3_identity(self):
         # on K_{3k} o K_3 the lower bound collapses to the exact value -k
         for k in range(1, 6):
-            assert corona_lower_bound(3 * k, 3) == corona_k3_value(k)
+            assert corona_lower_bound(3 * k, 3) == exact_value("corona_k3", k)
 
 
 class TestLemma:
