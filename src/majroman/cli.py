@@ -8,7 +8,6 @@ MISMATCH or CERT_INVALID (for CI). Usage errors exit 1.
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 from typing import List, Optional
 
@@ -46,14 +45,24 @@ class _Parser(argparse.ArgumentParser):
 # command-line flags of the families whose flags differ from their
 # GraphSpec fields
 _FLAG_ALIASES = {"double_star": ("a", "b")}
+# every flag of a family parameter
+_PARAM_FLAGS = ("n", "m", "k", "a", "b", "seed")
 
 
-def _required(args, flags, what: str) -> list:
-    """The values of ``flags``, or a usage error naming the missing ones."""
-    missing = [f"--{f}" for f in flags if getattr(args, f, None) is None]
+def _required(args, flags, kind: str, name: str) -> list:
+    """The values of ``flags``, seed 0 where --seed is not given; a usage
+    error for a parameter flag given outside ``flags``, then for the
+    missing ones."""
+    for f in _PARAM_FLAGS:
+        if f not in flags and getattr(args, f, None) is not None:
+            raise CliError(f"{name} takes no --{f}")
+    values = [
+        (args.seed or 0) if f == "seed" else getattr(args, f, None) for f in flags
+    ]
+    missing = [f"--{f}" for f, v in zip(flags, values) if v is None]
     if missing:
-        raise CliError(f"{what} needs {' '.join(missing)}")
-    return [getattr(args, f) for f in flags]
+        raise CliError(f"{kind} {name} needs {' '.join(missing)}")
+    return values
 
 
 def _spec_flags(family: str) -> tuple:
@@ -65,7 +74,7 @@ def _spec_from_args(args) -> GraphSpec:
     fam = args.family
     if fam not in FAMILIES:
         raise CliError(f"unknown family {fam!r}; choose from {list(FAMILIES)}")
-    return GraphSpec.of(fam, *_required(args, _spec_flags(fam), f"family {fam}"))
+    return GraphSpec.of(fam, *_required(args, _spec_flags(fam), "family", fam))
 
 
 def _load_graph(args):
@@ -78,9 +87,7 @@ def _load_graph(args):
     raise CliError("provide either --family or --file")
 
 
-def _parse_range(text: Optional[str]) -> range:
-    if text is None:
-        raise CliError("missing --range A..B")
+def _parse_range(text: str) -> range:
     if ".." not in text:
         raise CliError(f"malformed range {text!r}; expected A..B")
     lo, hi = text.split("..", 1)
@@ -166,7 +173,7 @@ def cmd_cert(args) -> int:
             f"choose from {sorted(_CERT_THEOREMS)}"
         )
     family = _CERT_THEOREMS[args.theorem]
-    values = _required(args, FAMILIES[family].fields, f"theorem {args.theorem}")
+    values = _required(args, FAMILIES[family].fields, "theorem", args.theorem)
     _warn_floor(args)
     cert = certs.CERTIFICATES[family](*values)
     print(f"source:       {cert.source} ({cert.transcription})")
@@ -190,49 +197,21 @@ def cmd_cert(args) -> int:
     return 0
 
 
-# the theorems whose instances do not depend on --range
-_NO_RANGE = ("corona_upper", "corona_lower", "delta_bound", "subadditivity", "lemma")
-
-
 def cmd_check(args) -> int:
     theorem = args.theorem
-    if args.range is not None and theorem in _NO_RANGE:
-        raise CliError(f"{theorem} takes no --range")
-    if args.count < 1:
+    if theorem not in harness.THEOREMS:
+        raise CliError(f"unknown theorem id {theorem!r}")
+    entry = harness.THEOREMS[theorem]
+    for flag in ("range", "count", "seed"):
+        if getattr(args, flag) is not None and flag not in entry.flags:
+            raise CliError(f"{theorem} takes no --{flag}")
+    if args.count is not None and args.count < 1:
         raise CliError("--count must be >= 1")
     _warn_floor(args)
     opts = _solve_options(args)
-    if theorem in formulas.EXACT_VALUES:
-        arity = len(FAMILIES[theorem].fields)
-        tuples = list(itertools.product(_parse_range(args.range), repeat=arity))
-        params = [p for p in tuples if formulas.exact_value(theorem, *p) is not None]
-        # fail before any solve rather than on a certificate's guard; a
-        # family of two parameters runs the pairs its value covers, if any
-        if len(params) < len(tuples) and (arity == 1 or not params):
-            first = next(p for p in tuples if formulas.exact_value(theorem, *p) is None)
-            raise CliError(formulas.outside_domain(theorem, *first))
-    elif theorem in ("corona_upper", "corona_lower"):
-        params = harness.corona_audit_instances()
-    elif theorem == "tree_bounds":
-        r = _parse_range(args.range) if args.range else range(4, 14)
-        # fail before any solve rather than on the support/leaf counts
-        if r[0] < 2:
-            raise CliError(
-                f"{theorem}: n={r[0]} outside the theorem's domain "
-                "(needs n >= 2)"
-            )
-        params = [
-            GraphSpec("random_tree", n=r[i % len(r)], seed=args.seed + i)
-            for i in range(args.count)
-        ]
-    elif theorem == "delta_bound":
-        params = harness.random_graph_suite(args.count, args.seed)
-    elif theorem == "subadditivity":
-        params = harness.subadditivity_pairs(args.count, args.seed)
-    elif theorem == "lemma":
-        params = (500, 500)
-    else:
-        raise CliError(f"unknown theorem id {theorem!r}")
+    rng = None if args.range is None else _parse_range(args.range)
+    given = {"orders": rng, "count": args.count, "seed": args.seed}
+    params = entry.instances(**{k: v for k, v in given.items() if v is not None})
     report = harness.check(theorem, params, opts)
     sys.stdout.write(harness.export(report, "table"))
     if args.csv:
@@ -344,7 +323,7 @@ def build_parser() -> _Parser:
     parser.add_argument(
         "--threshold-mode", choices=["ceil", "floor"], default="ceil"
     )
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, help="random seed (default 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="compute the exact optimum")
@@ -370,7 +349,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("check", help="cross-validate a theorem on a range")
     p.add_argument("--theorem", required=True)
     p.add_argument("--range", help="parameter range A..B")
-    p.add_argument("--count", type=int, default=50, help="sample count")
+    p.add_argument("--count", type=int, help="sample count (default 50)")
     p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     p.add_argument("--method", choices=["auto", "brute", "bb"], default="auto")
     p.add_argument("--csv", help="write CSV to this path")

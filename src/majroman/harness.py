@@ -24,15 +24,17 @@ independent complement) are excluded, not failed.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import random
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from . import certificates as certs
 from . import formulas
-from .graph import Graph, GraphSpec, generate, gnp, join, random_tree
+from .graph import FAMILIES, Graph, GraphSpec, generate, gnp, join, random_tree
 from .labeling import validate
 from .solver import (
     CapExceededError,
@@ -271,47 +273,11 @@ def _check_lemma(params, opts) -> Iterator[ReportRow]:
     )
 
 
-# the theorems that are not an exact family, by id
-_CHECKS = {
-    "corona_upper": _check_corona_upper,
-    "corona_lower": _check_corona_lower,
-    "tree_bounds": _check_tree_bounds,
-    "delta_bound": _check_delta_bound,
-    "subadditivity": _check_subadditivity,
-    "lemma": _check_lemma,
-}
-
-
-def check(
-    theorem_id: str, params, solve_options: Optional[SolveOptions] = None
-) -> TheoremReport:
-    """Run one theorem check over a parameter iterable.
-
-    Parameter meanings per theorem: exact family checks take orders n (or
-    k for the K_3 corona), or tuples of the family's parameters in field
-    order, such as the (m, n) pairs of ``join_complete``; a parameter
-    outside the closed form's domain raises ``CertificateError`` with the
-    message of ``formulas.outside_domain``. ``corona_upper``,
-    ``corona_lower`` and ``subadditivity`` take spec pairs;
-    ``tree_bounds`` takes random-tree specs; ``delta_bound`` takes
-    (label, graph) pairs; ``lemma`` takes (n_max, m_max). On the command
-    line only the exact families and ``tree_bounds`` read ``--range``.
-    """
-    opts = solve_options or SolveOptions()
-    if theorem_id in formulas.EXACT_VALUES:
-        rows = _check_exact_family(theorem_id, params, opts)
-    elif theorem_id in _CHECKS:
-        rows = _CHECKS[theorem_id](params, opts)
-    else:
-        raise ValueError(f"unknown theorem id {theorem_id!r}")
-    return TheoremReport(theorem_id, list(rows))
-
-
 # ---------------------------------------------------------------------------
 # instance suites used by the CLI and the acceptance checks
 
 
-def random_graph_suite(count: int, seed: int) -> List[Tuple[str, Graph]]:
+def random_graph_suite(count: int = 50, seed: int = 0) -> List[Tuple[str, Graph]]:
     """Deterministic mix of random trees and G(n, p in {0.3, 0.5}) with
     n in [2, 10]; G(n, p) samples are redrawn until they have an edge
     (the degree-based lower bound needs max degree >= 1)."""
@@ -330,7 +296,9 @@ def random_graph_suite(count: int, seed: int) -> List[Tuple[str, Graph]]:
     return out
 
 
-def subadditivity_pairs(count: int, seed: int) -> List[Tuple[GraphSpec, GraphSpec]]:
+def subadditivity_pairs(
+    count: int = 50, seed: int = 0
+) -> List[Tuple[GraphSpec, GraphSpec]]:
     """Deterministic sample of spec pairs with orders <= 7.
 
     Operands with negative optima are excluded downstream by the
@@ -371,6 +339,82 @@ def corona_audit_instances(max_order: int = 14) -> List[Tuple[GraphSpec, GraphSp
             if n * (1 + m) <= max_order:
                 out.append((gs, hs))
     return out
+
+
+def _exact_family_instances(family: str, orders: Optional[range] = None) -> List[tuple]:
+    """The parameter tuples over ``orders`` that an exact family's value
+    covers: all of them, or for a family of two parameters at least one."""
+    if orders is None:
+        raise ValueError("missing --range A..B")
+    arity = len(FAMILIES[family].fields)
+    tuples = list(itertools.product(orders, repeat=arity))
+    params = [p for p in tuples if formulas.exact_value(family, *p) is not None]
+    # fail before any solve rather than on a certificate's guard
+    if len(params) < len(tuples) and (arity == 1 or not params):
+        first = next(p for p in tuples if formulas.exact_value(family, *p) is None)
+        raise ValueError(formulas.outside_domain(family, *first))
+    return params
+
+
+def _tree_instances(
+    orders: range = range(4, 14), count: int = 50, seed: int = 0
+) -> List[GraphSpec]:
+    """Random trees cycling through ``orders``, the i-th seeded ``seed + i``."""
+    if orders[0] < 2:
+        raise ValueError(
+            f"tree_bounds: n={orders[0]} outside the theorem's domain (needs n >= 2)"
+        )
+    return [
+        GraphSpec("random_tree", n=orders[i % len(orders)], seed=seed + i)
+        for i in range(count)
+    ]
+
+
+class Theorem(NamedTuple):
+    """A checked theorem: its rows over a parameter iterable, the builder
+    of a command-line check's parameters, and which of --range, --count
+    and --seed the builder reads. It takes each one given as a keyword,
+    ``orders``, ``count`` or ``seed``, and defaults the others."""
+
+    rows: Callable[[object, SolveOptions], Iterator[ReportRow]]
+    instances: Callable[..., object]
+    flags: Tuple[str, ...] = ()
+
+
+# every theorem ``check`` audits, by id
+THEOREMS = {
+    **{
+        f: Theorem(
+            functools.partial(_check_exact_family, f),
+            functools.partial(_exact_family_instances, f),
+            ("range",),
+        )
+        for f in formulas.EXACT_VALUES
+    },
+    "corona_upper": Theorem(_check_corona_upper, corona_audit_instances),
+    "corona_lower": Theorem(_check_corona_lower, corona_audit_instances),
+    "tree_bounds": Theorem(
+        _check_tree_bounds, _tree_instances, ("range", "count", "seed")
+    ),
+    "delta_bound": Theorem(_check_delta_bound, random_graph_suite, ("count", "seed")),
+    "subadditivity": Theorem(
+        _check_subadditivity, subadditivity_pairs, ("count", "seed")
+    ),
+    "lemma": Theorem(_check_lemma, lambda: (500, 500)),
+}
+
+
+def check(
+    theorem_id: str, params, solve_options: Optional[SolveOptions] = None
+) -> TheoremReport:
+    """Run one theorem of ``THEOREMS`` over parameters shaped as its
+    builder returns them; an exact family also takes bare orders. A
+    parameter outside a closed form's domain raises ``CertificateError``
+    with the message of ``formulas.outside_domain``."""
+    if theorem_id not in THEOREMS:
+        raise ValueError(f"unknown theorem id {theorem_id!r}")
+    rows = THEOREMS[theorem_id].rows(params, solve_options or SolveOptions())
+    return TheoremReport(theorem_id, list(rows))
 
 
 # ---------------------------------------------------------------------------

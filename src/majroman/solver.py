@@ -45,11 +45,6 @@ class CapExceededError(SolverError):
     """Instance too large for exhaustive enumeration."""
 
 
-class InfeasibleError(SolverError):
-    """No valid labeling exists (unreachable for simple graphs; kept as a
-    distinguished outcome rather than a silent wrong answer)."""
-
-
 @dataclass
 class SolveOptions:
     method: str = "auto"  # auto | brute | bb
@@ -206,8 +201,7 @@ def brute_force(g: Graph, options: Optional[SolveOptions] = None) -> OptResult:
         if best_w is None or w < best_w:
             best_w = w
             best = x + tuple(int(v) for v in labels[:, i])
-    if best is None:
-        raise InfeasibleError("no valid labeling found")
+    # the all-2 labeling is valid on every graph, so best is set
     return OptResult(
         optimum=best_w,
         witness=best,

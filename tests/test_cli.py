@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from majroman import harness
 from majroman.certificates import CERTIFICATES
 from majroman.cli import _spec_flags, main
 from majroman.formulas import EXACT_VALUES, exact_value, predict
@@ -51,6 +52,14 @@ class TestSolve:
     def test_family_missing_second_parameter(self, capsys):
         code, _, err = run(capsys, "solve", "--family", "double_star", "--a", "2")
         assert code == 1 and "error: family double_star needs --b" in err
+
+    def test_seed_rejected_where_not_a_parameter(self, capsys):
+        code, out, err = run(
+            capsys, "solve", "--family", "wheel", "--n", "8", "--seed", "2"
+        )
+        assert code == 1
+        assert err == "error: wheel takes no --seed\n"
+        assert out == ""
 
     def test_node_limit_fails_fast(self, capsys):
         start = time.perf_counter()
@@ -105,9 +114,33 @@ class TestGen:
         )
         assert after == before
 
+    def test_seed_defaults_to_zero(self, capsys):
+        _, unseeded, _ = run(capsys, "gen", "--family", "random_tree", "--n", "5")
+        _, seeded, _ = run(
+            capsys, "gen", "--family", "random_tree", "--n", "5", "--seed", "0"
+        )
+        assert unseeded == seeded
+
     def test_unknown_family(self, capsys):
         code, _, err = run(capsys, "gen", "--family", "hypercube", "--n", "3")
         assert code == 1 and "unknown family" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["path", "--n", "3", "--k", "2"], "path takes no --k"),
+            (
+                ["double_star", "--a", "2", "--b", "3", "--n", "4"],
+                "double_star takes no --n",
+            ),
+            (["cycle", "--n", "5", "--m", "2"], "cycle takes no --m"),
+        ],
+    )
+    def test_flag_not_a_parameter(self, capsys, argv, message):
+        code, out, err = run(capsys, "gen", "--family", *argv)
+        assert code == 1
+        assert err == f"error: {message}\n"
+        assert out == ""
 
 
 class TestCert:
@@ -125,6 +158,29 @@ class TestCert:
     def test_missing_parameter(self, capsys):
         code, _, err = run(capsys, "cert", "--theorem", "join", "--n", "3")
         assert code == 1 and "error: theorem join needs --m" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["cert", "--theorem", "wheel", "--n", "6", "--m", "3"],
+                "wheel takes no --m",
+            ),
+            (
+                ["cert", "--theorem", "join", "--m", "2", "--n", "4", "--k", "1"],
+                "join takes no --k",
+            ),
+            (
+                ["--seed", "1", "cert", "--theorem", "cpath", "--n", "12"],
+                "cpath takes no --seed",
+            ),
+        ],
+    )
+    def test_flag_not_a_parameter(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert err == f"error: {message}\n"
+        assert out == ""
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -231,17 +287,35 @@ class TestCheck:
         assert out == ""
 
     @pytest.mark.parametrize(
-        "theorem",
-        ["corona_upper", "corona_lower", "delta_bound", "subadditivity", "lemma"],
+        "theorem, flag",
+        [
+            pytest.param(t, f, id=t if f == "range" else f"{t}-{f}")
+            for f in ("range", "count", "seed")
+            for t, entry in harness.THEOREMS.items()
+            if f not in entry.flags
+        ],
     )
-    def test_range_rejected_where_unread(self, capsys, theorem):
-        # these theorems build their instances without --range; a narrowed
-        # run must not silently become the default one
-        code, out, err = run(
-            capsys, "check", "--theorem", theorem, "--range", "1..3", "--count", "2"
-        )
+    def test_range_rejected_where_unread(self, capsys, theorem, flag):
+        # these theorems build their instances without the flag; a narrowed
+        # or reseeded run must not silently become the default one
+        argv = {
+            "range": ["--range", "1..3", "--count", "2"],
+            "count": ["--count", "2"],
+            "seed": ["--seed", "5"],
+        }[flag]
+        code, out, err = run(capsys, "check", "--theorem", theorem, *argv)
         assert code == 1
-        assert err == f"error: {theorem} takes no --range\n"
+        assert err == f"error: {theorem} takes no --{flag}\n"
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv", [["wheel", "--range", "4..4"], ["lemma"], ["corona_lower"]]
+    )
+    def test_seed_before_check_rejected_where_unread(self, capsys, argv):
+        # a global --seed is given too, even at its default value
+        code, out, err = run(capsys, "--seed", "0", "check", "--theorem", *argv)
+        assert code == 1
+        assert err == f"error: {argv[0]} takes no --seed\n"
         assert out == ""
 
     @pytest.mark.parametrize("theorem", ["tree_bounds", "delta_bound", "subadditivity"])
@@ -329,6 +403,14 @@ class TestBoundsAndLemma:
         assert "domination upper bound:      inapplicable (gamma != n - beta0)" in out
         assert "domination=None" in out
 
+    def test_bounds_family_flag_not_a_parameter(self, capsys):
+        code, out, err = run(
+            capsys, "bounds", "--family", "star", "--n", "5", "--a", "1"
+        )
+        assert code == 1
+        assert err == "error: star takes no --a\n"
+        assert out == ""
+
     def test_bounds_requires_input(self, capsys):
         code, _, err = run(capsys, "bounds")
         assert code == 1 and "error:" in err
@@ -414,3 +496,36 @@ def test_family_table(capsys, family):
         report = validate(cert.graph, cert.labeling)
         (prediction,) = predict(spec)
         assert report.is_valid and report.weight == prediction.value
+
+
+# a small run of each theorem that is not an exact family, giving only
+# the flags it reads
+_SMALL_CHECKS = {
+    "corona_upper": [],
+    "corona_lower": [],
+    "tree_bounds": ["--range", "4..5", "--count", "2"],
+    "delta_bound": ["--count", "2"],
+    "subadditivity": ["--count", "2"],
+    "lemma": [],
+}
+
+
+def test_theorem_table_complete():
+    assert set(harness.THEOREMS) == set(EXACT_VALUES) | set(_SMALL_CHECKS)
+
+
+@pytest.mark.parametrize("theorem", list(harness.THEOREMS))
+def test_theorem_table(capsys, theorem):
+    if theorem in EXACT_VALUES:
+        params = _smallest_params(theorem)
+        argv = ["--range", f"{min(params)}..{max(params)}"]
+    else:
+        argv = _SMALL_CHECKS[theorem]
+    assert {a[2:] for a in argv if a.startswith("--")} <= set(
+        harness.THEOREMS[theorem].flags
+    )
+    code, out, err = run(capsys, "check", "--theorem", theorem, *argv)
+    assert code == 0, err
+    last = out.splitlines()[-1]
+    assert last.startswith(f"RESULT theorem={theorem} rows=")
+    assert "rows=0" not in last
