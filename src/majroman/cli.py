@@ -49,13 +49,19 @@ _FLAG_ALIASES = {"double_star": ("a", "b")}
 _PARAM_FLAGS = ("n", "m", "k", "a", "b", "seed")
 
 
+def _reject_given(args, name: str, flags) -> None:
+    """A usage error for the first of ``flags`` that is given, since
+    ``name`` does not read it."""
+    for f in flags:
+        if getattr(args, f, None) is not None:
+            raise CliError(f"{name} takes no --{f.replace('_', '-')}")
+
+
 def _required(args, flags, kind: str, name: str) -> list:
     """The values of ``flags``, seed 0 where --seed is not given; a usage
     error for a parameter flag given outside ``flags``, then for the
     missing ones."""
-    for f in _PARAM_FLAGS:
-        if f not in flags and getattr(args, f, None) is not None:
-            raise CliError(f"{name} takes no --{f}")
+    _reject_given(args, name, [f for f in _PARAM_FLAGS if f not in flags])
     values = [
         (args.seed or 0) if f == "seed" else getattr(args, f, None) for f in flags
     ]
@@ -79,6 +85,7 @@ def _spec_from_args(args) -> GraphSpec:
 
 def _load_graph(args):
     if getattr(args, "file", None):
+        _reject_given(args, f"{args.command} --file", ("family",) + _PARAM_FLAGS)
         with open(args.file, encoding="utf-8") as fh:
             return parse_edge_list(fh.read()), f"file:{args.file}"
     if getattr(args, "family", None):
@@ -100,6 +107,11 @@ def _parse_range(text: str) -> range:
     return r
 
 
+def _mode(args) -> str:
+    """The threshold mode; ceil where --threshold-mode is not given."""
+    return args.threshold_mode or "ceil"
+
+
 def _solve_options(args) -> SolveOptions:
     node_limit = getattr(args, "node_limit", None)
     if node_limit is not None and node_limit < 1:
@@ -108,7 +120,7 @@ def _solve_options(args) -> SolveOptions:
         method=getattr(args, "method", "auto"),
         thread_count=args.threads,
         node_limit=node_limit,
-        threshold_mode=args.threshold_mode,
+        threshold_mode=_mode(args),
     )
 
 
@@ -143,6 +155,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    _reject_given(args, "gen", ("threshold_mode",))
     spec = _spec_from_args(args)
     g = generate(spec)
     text = serialize_edge_list(g)
@@ -183,7 +196,7 @@ def cmd_cert(args) -> int:
         print(f"DEFECT: {d}")
     valid = ""
     if args.validate:
-        report = validate(cert.graph, cert.labeling, args.threshold_mode)
+        report = validate(cert.graph, cert.labeling, _mode(args))
         print(
             f"validation:   valid={report.is_valid} weight={report.weight} "
             f"satisfied={report.satisfied_count}/{report.threshold} "
@@ -202,9 +215,9 @@ def cmd_check(args) -> int:
     if theorem not in harness.THEOREMS:
         raise CliError(f"unknown theorem id {theorem!r}")
     entry = harness.THEOREMS[theorem]
-    for flag in ("range", "count", "seed"):
-        if getattr(args, flag) is not None and flag not in entry.flags:
-            raise CliError(f"{theorem} takes no --{flag}")
+    _reject_given(
+        args, theorem, [f for f in ("range", "count", "seed") if f not in entry.flags]
+    )
     if args.count is not None and args.count < 1:
         raise CliError("--count must be >= 1")
     _warn_floor(args)
@@ -231,6 +244,9 @@ def cmd_check(args) -> int:
 
 def cmd_bounds(args) -> int:
     if args.tree:
+        _reject_given(
+            args, "bounds --tree", ("threshold_mode", "family") + _PARAM_FLAGS
+        )
         with open(args.tree, encoding="utf-8") as fh:
             t = parse_edge_list(fh.read())
         profile = tree_profile(t)
@@ -266,19 +282,17 @@ def cmd_bounds(args) -> int:
                 print(f"{p.source}: {p.kind} {p.value}")
             else:
                 print(f"{p.source}: inapplicable ({p.reason})")
-        if g.n >= 2:
-            print(f"delta lower bound: {delta_lower_bound(g)}")
+        delta = delta_lower_bound(g) if g.num_edges() else "inapplicable (no edge)"
+        print(f"delta lower bound: {delta}")
         # holds on every graph, unlike the delta bound
-        print(
-            "majority lower bound: "
-            f"{majority_lower_bound(g, args.threshold_mode)}"
-        )
+        print(f"majority lower bound: {majority_lower_bound(g, _mode(args))}")
         print(f"RESULT family={spec.label()} predictions={len(preds)}")
         return 0
     raise CliError("provide --tree FILE or --family FAMILY")
 
 
 def cmd_lemma(args) -> int:
+    _reject_given(args, "lemma", ("threshold_mode", "seed"))
     if args.n_max < 1:
         raise CliError("--n-max must be >= 1")
     if args.m_max < 3:
@@ -320,9 +334,7 @@ def build_parser() -> _Parser:
         default=1,
         help="accepted for compatibility; the search is serial and ignores it",
     )
-    parser.add_argument(
-        "--threshold-mode", choices=["ceil", "floor"], default="ceil"
-    )
+    parser.add_argument("--threshold-mode", choices=["ceil", "floor"])
     parser.add_argument("--seed", type=int, help="random seed (default 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 

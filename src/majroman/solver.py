@@ -219,9 +219,10 @@ class _Search:
         vertex cannot beat the incumbent;
     (b) Roman guard death: an assigned -1 vertex whose open neighborhood
         is fully assigned with no 2;
-    (c) majority death: vertices whose closed sum can no longer reach 1
-        even if every unassigned closed neighbor takes 2; prune once more
-        than n - threshold of them exist;
+    (c) majority death: each vertex v holds a potential, its closed sum
+        plus 2 per unassigned closed neighbour, the most f(N[v]) can still
+        reach. It only falls along a branch, so v is dead once it is below
+        1; prune once more than n - threshold vertices are dead;
     (d) guard capacity: of the k unassigned vertices U, say P already
         have an assigned 2-neighbour. A completion labelling a vertices
         of U with 2 and c with -1 weighs k + a - 2c on U, and each of
@@ -233,8 +234,8 @@ class _Search:
         tests (d) alone.
 
     Rules (b) and (c) are tested before a child is applied: one
-    read-only pass over N[u] finds the closed neighbours each of the -1
-    and +1 children would kill and the guards they would break, so a
+    read-only pass over N[u] counts the closed neighbours each of the -1
+    and +1 children would kill and finds the guards they would break, so a
     dead child is counted as a node but never assigned or undone. The
     2 child breaks no guard and kills no vertex. Rule (d) is tested on
     entry to a node.
@@ -256,8 +257,8 @@ class _Search:
         self.closed_nbrs = [sorted(g.adj[v] | {v}) for v in range(n)]
         self.open_nbrs = [sorted(g.adj[v]) for v in range(n)]
         self.label = [0] * n
-        self.sum_closed = [0] * n
-        self.un_closed = [len(g.adj[v]) + 1 for v in range(n)]
+        # rule (c): closed sum + 2 * unassigned closed neighbours
+        self.potential = [2 * len(g.adj[v]) + 2 for v in range(n)]
         self.un_open = [len(g.adj[v]) for v in range(n)]
         self.twos_open = [0] * n
         # unassigned vertices with an assigned 2-neighbour (P of rule d)
@@ -266,25 +267,24 @@ class _Search:
         self.slack = [0] * (n + 1)
         for i, v in enumerate(order):
             self.slack[i + 1] = self.slack[i] + 1 - 2 * len(g.adj[v])
-        self.dead = [False] * n
+        # vertices whose potential is below 1
         self.dead_count = 0
         self.nodes = 0
         self.truncated = False
 
-    def assign(self, u: int, x: int, newly_dead) -> None:
-        """Label u with x; ``newly_dead`` are the closed neighbours of u
-        whose closed sum can no longer reach 1 once it is labelled."""
+    def assign(self, u: int, x: int, deaths: int) -> None:
+        """Label u with x, which drops the potential of ``deaths`` closed
+        neighbours of u below 1."""
         label = self.label
         label[u] = x
         un_open = self.un_open
         twos_open = self.twos_open
         if twos_open[u]:
             self.covered -= 1
-        sum_closed = self.sum_closed
-        un_closed = self.un_closed
+        potential = self.potential
+        step = x - 2
         for v in self.closed_nbrs[u]:
-            sum_closed[v] += x
-            un_closed[v] -= 1
+            potential[v] += step
         if x == 2:
             covered = 0
             for v in self.open_nbrs[u]:
@@ -296,16 +296,10 @@ class _Search:
         else:
             for v in self.open_nbrs[u]:
                 un_open[v] -= 1
-        dead = self.dead
-        for v in newly_dead:
-            dead[v] = True
-        self.dead_count += len(newly_dead)
+        self.dead_count += deaths
 
-    def unassign(self, u: int, x: int, newly_dead) -> None:
-        self.dead_count -= len(newly_dead)
-        dead = self.dead
-        for v in newly_dead:
-            dead[v] = False
+    def unassign(self, u: int, x: int, deaths: int) -> None:
+        self.dead_count -= deaths
         label = self.label
         un_open = self.un_open
         twos_open = self.twos_open
@@ -320,9 +314,10 @@ class _Search:
         else:
             for v in self.open_nbrs[u]:
                 un_open[v] += 1
+        potential = self.potential
+        step = x - 2
         for v in self.closed_nbrs[u]:
-            self.sum_closed[v] -= x
-            self.un_closed[v] += 1
+            potential[v] -= step
         label[u] = 0
         if twos_open[u]:
             self.covered += 1
@@ -369,44 +364,39 @@ class _Search:
         label = self.label
         un_open = self.un_open
         twos_open = self.twos_open
-        sum_closed = self.sum_closed
-        un_closed = self.un_closed
-        dead = self.dead
+        potential = self.potential
         # (b): u labelled -1 needs a neighbour that is unassigned or a 2
         minus_lives = un_open[u] > 0 or twos_open[u] > 0
         plus_lives = True
-        # (c): a closed neighbour's sum + 2 * unassigned drops by 3 under
-        # -1 and by 1 under +1, and is dead once below 1
-        dead_minus = []
-        dead_plus = []
+        # (c): a closed neighbour's potential drops by 3 under -1 and by 1
+        # under +1; count the live ones it takes below 1
+        minus_deaths = plus_deaths = 0
         for v in self.closed_nbrs[u]:
             # (b): a -1 neighbour whose last unassigned neighbour is u
             # and that has no 2-neighbour dies unless u takes 2
             if label[v] == -1 and un_open[v] == 1 and not twos_open[v]:
                 minus_lives = plus_lives = False
                 break
-            if not dead[v]:
-                potential = sum_closed[v] + 2 * un_closed[v]
-                if potential < 4:
-                    dead_minus.append(v)
-                    if potential < 2:
-                        dead_plus.append(v)
+            if 1 <= potential[v] < 4:
+                minus_deaths += 1
+                if potential[v] < 2:
+                    plus_deaths += 1
         room = self.allowed_unsat - self.dead_count
         children = (
-            (-1, dead_minus, minus_lives and len(dead_minus) <= room),
-            (1, dead_plus, plus_lives and len(dead_plus) <= room),
-            (2, (), True),
+            (-1, minus_deaths, minus_lives and minus_deaths <= room),
+            (1, plus_deaths, plus_lives and plus_deaths <= room),
+            (2, 0, True),
         )
-        for x, newly_dead, lives in children:
+        for x, deaths, lives in children:
             # also ends this loop once a child's subtree used up the limit
             if self.nodes >= self.node_limit:
                 self.truncated = True
                 return
             self.nodes += 1
             if lives:
-                self.assign(u, x, newly_dead)
+                self.assign(u, x, deaths)
                 self.dfs(depth + 1, cur_w + x)
-                self.unassign(u, x, newly_dead)
+                self.unassign(u, x, deaths)
 
 
 def branch_and_bound(
@@ -506,9 +496,10 @@ def delta_lower_bound(g: Graph) -> Fraction:
     """n(2 - max_degree) / (max_degree + 1), exactly.
 
     The counting argument behind it needs at least one edge; on an
-    edgeless graph the bound is simply false (all-(+1) has weight n < 2n).
+    edgeless graph the bound is simply false (all-(+1) has weight n < 2n),
+    so it raises SolverError there.
     """
-    if g.n < 2:
-        raise SolverError("lower bound requires n >= 2")
+    if not g.num_edges():
+        raise SolverError("delta lower bound requires at least one edge")
     d = g.max_degree()
     return Fraction(g.n * (2 - d), d + 1)

@@ -387,6 +387,15 @@ class TestBoundsAndLemma:
         assert "delta lower bound: -2" in out
         assert "majority lower bound: -2" in out
 
+    @pytest.mark.parametrize(
+        "argv", [["complement_cycle", "--n", "3"], ["path", "--n", "1"]]
+    )
+    def test_bounds_family_edgeless(self, capsys, argv):
+        # the delta bound would read 2n on Cbar_3, above its optimum n
+        code, out, _ = run(capsys, "bounds", "--family", *argv)
+        assert code == 0
+        assert "delta lower bound: inapplicable (no edge)\n" in out
+
     def test_bounds_tree_file(self, capsys, tmp_path):
         path = tmp_path / "p4.el"
         path.write_text("4 3\n0 1\n1 2\n2 3\n")
@@ -453,6 +462,55 @@ class TestGlobalFlags:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "solve", "--file", "/no/such/file.el")
         assert code == 1 and "error:" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("solve --file F --family wheel --n 9", "solve --file takes no --family"),
+            ("solve --file F --n 3", "solve --file takes no --n"),
+            ("--seed 1 solve --file F", "solve --file takes no --seed"),
+            ("bounds --tree F --family star --n 4", "bounds --tree takes no --family"),
+            ("bounds --tree F --b 2", "bounds --tree takes no --b"),
+            (
+                "--threshold-mode ceil bounds --tree F",
+                "bounds --tree takes no --threshold-mode",
+            ),
+            (
+                "--threshold-mode floor gen --family path --n 3",
+                "gen takes no --threshold-mode",
+            ),
+            (
+                "--threshold-mode floor lemma --n-max 5",
+                "lemma takes no --threshold-mode",
+            ),
+            ("--seed 4 lemma --n-max 5 --m-max 5", "lemma takes no --seed"),
+        ],
+    )
+    def test_unread_flag_rejected(self, capsys, tmp_path, argv, message):
+        # F names no file: the flag is rejected before any file is read
+        missing = str(tmp_path / "absent.el")
+        code, out, err = run(
+            capsys, *[missing if a == "F" else a for a in argv.split()]
+        )
+        assert code == 1
+        assert err == f"error: {message}\n"
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--family", "wheel", "--n", "7"],
+            ["check", "--theorem", "wheel", "--range", "4..5"],
+            ["cert", "--theorem", "wheel", "--n", "6", "--validate"],
+            ["bounds", "--family", "path", "--n", "5"],
+        ],
+    )
+    def test_threshold_mode_defaults_to_ceil(self, capsys, argv):
+        _, unset, _ = run(capsys, *argv)
+        code, ceil, _ = run(capsys, "--threshold-mode", "ceil", *argv)
+        assert code == 0 and ceil == unset
+        code, floor, _ = run(capsys, "--threshold-mode", "floor", *argv)
+        assert code == 0 and floor != unset
 
 
 def test_python_dash_m_runs_the_cli():

@@ -1,6 +1,7 @@
 """Exact solver: brute force, branch and bound, seeding, and the degree
 lower bound."""
 
+import copy
 import hashlib
 import itertools
 import random
@@ -21,6 +22,7 @@ from majroman.graph import (
     star,
     wheel,
 )
+from majroman import solver
 from majroman.labeling import validate, weight
 from majroman.solver import (
     CapExceededError,
@@ -370,6 +372,53 @@ class TestSearchKernelPins:
         assert (sum(r.nodes_explored for r in results), digest) == SMALL_PINS[mode]
 
 
+# a tree, a wheel, G(n, p) with and without a node limit, an edgeless graph
+POTENTIAL_CASES = [
+    (random_tree(12, 3), None),
+    (wheel(9), None),
+    (gnp(11, 0.3, 7), None),
+    (gnp(14, 0.3, 2), 2000),
+    (Graph(6, []), None),
+]
+
+
+class TestSearchPotential:
+    @pytest.mark.parametrize("mode", ["ceil", "floor"])
+    @pytest.mark.parametrize(
+        "g,limit", POTENTIAL_CASES, ids=["tree", "wheel", "gnp", "gnp-limit", "empty"]
+    )
+    def test_recounted_at_every_node(self, monkeypatch, g, limit, mode):
+        closed = [g.adj[v] | {v} for v in range(g.n)]
+        fields = ("label", "potential", "un_open", "twos_open", "covered", "dead_count")
+
+        def state(search):
+            return {f: copy.copy(getattr(search, f)) for f in fields}
+
+        roots = []
+        visits = 0
+        dfs = solver._Search.dfs
+
+        def checked(search, depth, cur_w):
+            nonlocal visits
+            visits += 1
+            if not roots:
+                roots.append((search, state(search)))
+            label = search.label
+            # f(N[v]) over the assigned vertices + 2 per unassigned one
+            potential = [
+                sum(label[w] if label[w] else 2 for w in nbrs) for nbrs in closed
+            ]
+            assert search.potential == potential
+            assert search.dead_count == sum(p < 1 for p in potential)
+            dfs(search, depth, cur_w)
+
+        monkeypatch.setattr(solver._Search, "dfs", checked)
+        res = branch_and_bound(g, SolveOptions(threshold_mode=mode, node_limit=limit))
+        assert res.proven == (limit is None) and visits > g.n
+        ((search, initial),) = roots
+        assert state(search) == initial
+
+
 class TestMajorityLowerBound:
     @pytest.mark.parametrize(
         "family,n",
@@ -432,6 +481,14 @@ class TestDispatchAndBounds:
         assert delta_lower_bound(cycle(6)) == Fraction(0)
         with pytest.raises(SolverError):
             delta_lower_bound(Graph(1, []))
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_delta_lower_bound_needs_an_edge(self, n):
+        # the formula would give 2n, but all-(+1) weighs n
+        g = Graph(n, [])
+        assert solve(g).optimum == n
+        with pytest.raises(SolverError, match="at least one edge"):
+            delta_lower_bound(g)
 
     def test_delta_lower_bound_sharp_on_stars(self):
         for n in range(2, 11):
