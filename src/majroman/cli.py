@@ -47,6 +47,8 @@ class _Parser(argparse.ArgumentParser):
 _FLAG_ALIASES = {"double_star": ("a", "b")}
 # every flag of a family parameter
 _PARAM_FLAGS = ("n", "m", "k", "a", "b", "seed")
+# every flag a theorem's check may read
+_CHECK_FLAGS = ("range", "count", "seed", *harness.SOLVE_FLAGS)
 
 
 def _reject_given(args, name: str, flags) -> None:
@@ -113,11 +115,14 @@ def _mode(args) -> str:
 
 
 def _solve_options(args) -> SolveOptions:
-    node_limit = getattr(args, "node_limit", None)
+    if args.method == "brute":
+        # brute force has no node limit
+        _reject_given(args, f"{args.command} --method brute", ("node_limit",))
+    node_limit = args.node_limit
     if node_limit is not None and node_limit < 1:
         raise CliError("--node-limit must be >= 1")
     return SolveOptions(
-        method=getattr(args, "method", "auto"),
+        method=args.method or "auto",
         thread_count=args.threads,
         node_limit=node_limit,
         threshold_mode=_mode(args),
@@ -185,6 +190,9 @@ def cmd_cert(args) -> int:
             f"unknown certificate theorem {args.theorem!r}; "
             f"choose from {sorted(_CERT_THEOREMS)}"
         )
+    if not args.validate:
+        # only the validation reads the mode
+        _reject_given(args, "cert without --validate", ("threshold_mode",))
     family = _CERT_THEOREMS[args.theorem]
     values = _required(args, FAMILIES[family].fields, "theorem", args.theorem)
     _warn_floor(args)
@@ -215,9 +223,7 @@ def cmd_check(args) -> int:
     if theorem not in harness.THEOREMS:
         raise CliError(f"unknown theorem id {theorem!r}")
     entry = harness.THEOREMS[theorem]
-    _reject_given(
-        args, theorem, [f for f in ("range", "count", "seed") if f not in entry.flags]
-    )
+    _reject_given(args, theorem, [f for f in _CHECK_FLAGS if f not in entry.flags])
     if args.count is not None and args.count < 1:
         raise CliError("--count must be >= 1")
     _warn_floor(args)
@@ -341,7 +347,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("solve", help="compute the exact optimum")
     _add_family_args(p)
     p.add_argument("--file", help="edge-list file")
-    p.add_argument("--method", choices=["auto", "brute", "bb"], default="auto")
+    p.add_argument("--method", choices=["auto", "brute", "bb"])
     _add_node_limit_arg(p)
     p.set_defaults(func=cmd_solve)
 
@@ -363,7 +369,9 @@ def build_parser() -> _Parser:
     p.add_argument("--range", help="parameter range A..B")
     p.add_argument("--count", type=int, help="sample count (default 50)")
     p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--method", choices=["auto", "brute", "bb"], default="auto")
+    # no default: None reads as auto, so that a theorem whose check
+    # solves nothing can reject a given --method
+    p.add_argument("--method", choices=["auto", "brute", "bb"])
     p.add_argument("--csv", help="write CSV to this path")
     p.add_argument("--json", help="write JSON lines to this path")
     p.add_argument("--strict", action="store_true", help="exit 2 on MISMATCH/CERT_INVALID")

@@ -372,14 +372,19 @@ def _tree_instances(
 
 class Theorem(NamedTuple):
     """A checked theorem: its rows over a parameter iterable, the builder
-    of a command-line check's parameters, and which of --range, --count
-    and --seed the builder reads. It takes each one given as a keyword,
-    ``orders``, ``count`` or ``seed``, and defaults the others."""
+    of a command-line check's parameters, and the command-line flags the
+    check reads. Of these, the builder reads --range, --count and --seed;
+    it takes each one given as a keyword, ``orders``, ``count`` or
+    ``seed``, and defaults the others. The rows read ``SOLVE_FLAGS``
+    where they solve."""
 
     rows: Callable[[object, SolveOptions], Iterator[ReportRow]]
     instances: Callable[..., object]
     flags: Tuple[str, ...] = ()
 
+
+# the solve options a check takes from the command line
+SOLVE_FLAGS = ("threshold_mode", "method", "node_limit")
 
 # every theorem ``check`` audits, by id
 THEOREMS = {
@@ -387,18 +392,20 @@ THEOREMS = {
         f: Theorem(
             functools.partial(_check_exact_family, f),
             functools.partial(_exact_family_instances, f),
-            ("range",),
+            ("range", *SOLVE_FLAGS),
         )
         for f in formulas.EXACT_VALUES
     },
-    "corona_upper": Theorem(_check_corona_upper, corona_audit_instances),
-    "corona_lower": Theorem(_check_corona_lower, corona_audit_instances),
+    "corona_upper": Theorem(_check_corona_upper, corona_audit_instances, SOLVE_FLAGS),
+    "corona_lower": Theorem(_check_corona_lower, corona_audit_instances, SOLVE_FLAGS),
     "tree_bounds": Theorem(
-        _check_tree_bounds, _tree_instances, ("range", "count", "seed")
+        _check_tree_bounds, _tree_instances, ("range", "count", "seed", *SOLVE_FLAGS)
     ),
-    "delta_bound": Theorem(_check_delta_bound, random_graph_suite, ("count", "seed")),
+    "delta_bound": Theorem(
+        _check_delta_bound, random_graph_suite, ("count", "seed", *SOLVE_FLAGS)
+    ),
     "subadditivity": Theorem(
-        _check_subadditivity, subadditivity_pairs, ("count", "seed")
+        _check_subadditivity, subadditivity_pairs, ("count", "seed", *SOLVE_FLAGS)
     ),
     "lemma": Theorem(_check_lemma, lambda: (500, 500)),
 }

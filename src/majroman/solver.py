@@ -218,15 +218,16 @@ class _Search:
     (a) optimistic completion: current weight plus -1 per unassigned
         vertex cannot beat the incumbent;
     (b) Roman guard death: an assigned -1 vertex whose open neighborhood
-        is fully assigned with no 2;
+        is fully assigned and that is not in ``cover``, the bitmask of the
+        vertices with an assigned 2-neighbour;
     (c) majority death: each vertex v holds a potential, its closed sum
         plus 2 per unassigned closed neighbour, the most f(N[v]) can still
         reach. It only falls along a branch, so v is dead once it is below
         1; prune once more than n - threshold vertices are dead;
-    (d) guard capacity: of the k unassigned vertices U, say P already
-        have an assigned 2-neighbour. A completion labelling a vertices
-        of U with 2 and c with -1 weighs k + a - 2c on U, and each of
-        those -1s needs a 2-neighbour, so c <= min(k - a, P + D(a)) where
+    (d) guard capacity: of the k unassigned vertices U, P are in
+        ``cover``. A completion labelling a vertices of U with 2 and c
+        with -1 weighs k + a - 2c on U, and each of those -1s needs a
+        2-neighbour, so c <= min(k - a, P + D(a)) where
         D(a) is the sum of the a largest degrees in U. U therefore weighs
         at least the minimum over a of max(3a - k, k + a - 2P - 2D(a)),
         and the subtree is cut when that cannot beat the incumbent.
@@ -239,6 +240,10 @@ class _Search:
     dead child is counted as a node but never assigned or undone. The
     2 child breaks no guard and kills no vertex. Rule (d) is tested on
     entry to a node.
+
+    ``cover`` only grows along a branch, so it is an argument of ``dfs``:
+    the 2 child recurses with the open neighbours of u added, the -1 and
+    +1 children with it unchanged, and nothing is undone.
 
     Every rule only cuts subtrees with no valid leaf lighter than the
     incumbent, so the incumbent sequence, and with it the witness, is the
@@ -256,13 +261,15 @@ class _Search:
         self.node_limit = sys.maxsize if node_limit is None else node_limit
         self.closed_nbrs = [sorted(g.adj[v] | {v}) for v in range(n)]
         self.open_nbrs = [sorted(g.adj[v]) for v in range(n)]
+        self.open_mask = [sum(1 << w for w in g.adj[v]) for v in range(n)]
+        # unassigned[d] = bitmask of order[d:]
+        self.unassigned = [0] * (n + 1)
+        for d in range(n - 1, -1, -1):
+            self.unassigned[d] = self.unassigned[d + 1] | 1 << order[d]
         self.label = [0] * n
         # rule (c): closed sum + 2 * unassigned closed neighbours
         self.potential = [2 * len(g.adj[v]) + 2 for v in range(n)]
         self.un_open = [len(g.adj[v]) for v in range(n)]
-        self.twos_open = [0] * n
-        # unassigned vertices with an assigned 2-neighbour (P of rule d)
-        self.covered = 0
         # slack[i] = i - 2 * (sum of the degrees of order[:i])
         self.slack = [0] * (n + 1)
         for i, v in enumerate(order):
@@ -275,54 +282,28 @@ class _Search:
     def assign(self, u: int, x: int, deaths: int) -> None:
         """Label u with x, which drops the potential of ``deaths`` closed
         neighbours of u below 1."""
-        label = self.label
-        label[u] = x
-        un_open = self.un_open
-        twos_open = self.twos_open
-        if twos_open[u]:
-            self.covered -= 1
+        self.label[u] = x
         potential = self.potential
         step = x - 2
         for v in self.closed_nbrs[u]:
             potential[v] += step
-        if x == 2:
-            covered = 0
-            for v in self.open_nbrs[u]:
-                un_open[v] -= 1
-                twos_open[v] += 1
-                if twos_open[v] == 1 and not label[v]:
-                    covered += 1
-            self.covered += covered
-        else:
-            for v in self.open_nbrs[u]:
-                un_open[v] -= 1
+        un_open = self.un_open
+        for v in self.open_nbrs[u]:
+            un_open[v] -= 1
         self.dead_count += deaths
 
     def unassign(self, u: int, x: int, deaths: int) -> None:
         self.dead_count -= deaths
-        label = self.label
         un_open = self.un_open
-        twos_open = self.twos_open
-        if x == 2:
-            covered = 0
-            for v in self.open_nbrs[u]:
-                un_open[v] += 1
-                twos_open[v] -= 1
-                if not twos_open[v] and not label[v]:
-                    covered += 1
-            self.covered -= covered
-        else:
-            for v in self.open_nbrs[u]:
-                un_open[v] += 1
+        for v in self.open_nbrs[u]:
+            un_open[v] += 1
         potential = self.potential
         step = x - 2
         for v in self.closed_nbrs[u]:
             potential[v] -= step
-        label[u] = 0
-        if twos_open[u]:
-            self.covered += 1
+        self.label[u] = 0
 
-    def capacity_bound_reaches(self, depth: int, need: int) -> bool:
+    def capacity_bound_reaches(self, depth: int, need: int, cover: int) -> bool:
         """Whether rule (d) bounds the weight of the unassigned vertices by
         at least ``need``.
 
@@ -330,12 +311,14 @@ class _Search:
         f2 = k + a - 2P - 2D(a) falls while degrees are positive, then
         rises by 1 per isolated vertex. The bound is f1 at the first a
         with f1 >= f2, or a smaller f2 before it; the walk stops at the
-        first value below ``need``.
+        first value below ``need``. P is the number of unassigned
+        vertices in ``cover``.
         """
         k = self.n - depth
         slack = self.slack
+        covered = (cover & self.unassigned[depth]).bit_count()
         # f2 = base + slack[i]
-        base = k - 2 * self.covered - slack[depth]
+        base = k - 2 * covered - slack[depth]
         f1 = -k
         for i in range(depth, self.n):
             f2 = base + slack[i]
@@ -347,7 +330,7 @@ class _Search:
         # a = k: f1 = 2k is at least f2
         return f1 >= need
 
-    def dfs(self, depth: int, cur_w: int) -> None:
+    def dfs(self, depth: int, cur_w: int, cover: int) -> None:
         n = self.n
         if depth == n:
             # every leaf reached here satisfies both conditions: guard and
@@ -356,17 +339,16 @@ class _Search:
                 self.weight = cur_w
                 self.witness = tuple(self.label)
             return
-        if self.capacity_bound_reaches(depth, self.weight - cur_w):
+        if self.capacity_bound_reaches(depth, self.weight - cur_w, cover):
             return
         u = self.order[depth]
         # one read-only pass over N[u] decides rules (b) and (c) for the
         # -1 and +1 children; the 2 child always lives
         label = self.label
         un_open = self.un_open
-        twos_open = self.twos_open
         potential = self.potential
         # (b): u labelled -1 needs a neighbour that is unassigned or a 2
-        minus_lives = un_open[u] > 0 or twos_open[u] > 0
+        minus_lives = un_open[u] > 0 or cover >> u & 1
         plus_lives = True
         # (c): a closed neighbour's potential drops by 3 under -1 and by 1
         # under +1; count the live ones it takes below 1
@@ -374,7 +356,7 @@ class _Search:
         for v in self.closed_nbrs[u]:
             # (b): a -1 neighbour whose last unassigned neighbour is u
             # and that has no 2-neighbour dies unless u takes 2
-            if label[v] == -1 and un_open[v] == 1 and not twos_open[v]:
+            if label[v] == -1 and un_open[v] == 1 and not cover >> v & 1:
                 minus_lives = plus_lives = False
                 break
             if 1 <= potential[v] < 4:
@@ -383,11 +365,11 @@ class _Search:
                     plus_deaths += 1
         room = self.allowed_unsat - self.dead_count
         children = (
-            (-1, minus_deaths, minus_lives and minus_deaths <= room),
-            (1, plus_deaths, plus_lives and plus_deaths <= room),
-            (2, 0, True),
+            (-1, minus_deaths, minus_lives and minus_deaths <= room, cover),
+            (1, plus_deaths, plus_lives and plus_deaths <= room, cover),
+            (2, 0, True, cover | self.open_mask[u]),
         )
-        for x, deaths, lives in children:
+        for x, deaths, lives, child_cover in children:
             # also ends this loop once a child's subtree used up the limit
             if self.nodes >= self.node_limit:
                 self.truncated = True
@@ -395,7 +377,7 @@ class _Search:
             self.nodes += 1
             if lives:
                 self.assign(u, x, deaths)
-                self.dfs(depth + 1, cur_w + x)
+                self.dfs(depth + 1, cur_w + x, child_cover)
                 self.unassign(u, x, deaths)
 
 
@@ -446,7 +428,7 @@ def branch_and_bound(
             elapsed=time.perf_counter() - t0,
         )
     search = _Search(g, order, weight, witness, allowed_unsat, opts.node_limit)
-    search.dfs(0, 0)
+    search.dfs(0, 0, 0)
     return OptResult(
         optimum=search.weight,
         witness=search.witness,

@@ -484,6 +484,24 @@ class TestGlobalFlags:
                 "lemma takes no --threshold-mode",
             ),
             ("--seed 4 lemma --n-max 5 --m-max 5", "lemma takes no --seed"),
+            ("check --theorem lemma --node-limit 5", "lemma takes no --node-limit"),
+            ("check --theorem lemma --method bb", "lemma takes no --method"),
+            (
+                "--threshold-mode floor check --theorem lemma",
+                "lemma takes no --threshold-mode",
+            ),
+            (
+                "--threshold-mode floor cert --theorem wheel --n 7",
+                "cert without --validate takes no --threshold-mode",
+            ),
+            (
+                "solve --family path --n 3 --method brute --node-limit 5",
+                "solve --method brute takes no --node-limit",
+            ),
+            (
+                "check --theorem wheel --range 4..5 --method brute --node-limit 5",
+                "check --method brute takes no --node-limit",
+            ),
         ],
     )
     def test_unread_flag_rejected(self, capsys, tmp_path, argv, message):

@@ -389,7 +389,7 @@ class TestSearchPotential:
     )
     def test_recounted_at_every_node(self, monkeypatch, g, limit, mode):
         closed = [g.adj[v] | {v} for v in range(g.n)]
-        fields = ("label", "potential", "un_open", "twos_open", "covered", "dead_count")
+        fields = ("label", "potential", "un_open", "dead_count")
 
         def state(search):
             return {f: copy.copy(getattr(search, f)) for f in fields}
@@ -398,7 +398,7 @@ class TestSearchPotential:
         visits = 0
         dfs = solver._Search.dfs
 
-        def checked(search, depth, cur_w):
+        def checked(search, depth, cur_w, cover):
             nonlocal visits
             visits += 1
             if not roots:
@@ -410,7 +410,16 @@ class TestSearchPotential:
             ]
             assert search.potential == potential
             assert search.dead_count == sum(p < 1 for p in potential)
-            dfs(search, depth, cur_w)
+            assert search.un_open == [
+                sum(not label[w] for w in g.adj[v]) for v in range(g.n)
+            ]
+            assert cover == sum(
+                1 << v for v in range(g.n) if any(label[w] == 2 for w in g.adj[v])
+            )
+            assert [label[v] != 0 for v in search.order] == [
+                i < depth for i in range(g.n)
+            ]
+            dfs(search, depth, cur_w, cover)
 
         monkeypatch.setattr(solver._Search, "dfs", checked)
         res = branch_and_bound(g, SolveOptions(threshold_mode=mode, node_limit=limit))
