@@ -240,8 +240,8 @@ def cmd_check(args) -> int:
         with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(harness.export(report, "jsonl"))
     counts = report.counts()
-    summary = " ".join(f"{k.lower()}={v}" for k, v in sorted(counts.items()))
-    print(f"RESULT theorem={theorem} rows={len(report.rows)} {summary}")
+    summary = "".join(f" {k.lower()}={v}" for k, v in sorted(counts.items()))
+    print(f"RESULT theorem={theorem} rows={len(report.rows)}{summary}")
     bad = counts.get("MISMATCH", 0) + counts.get("CERT_INVALID", 0)
     if args.strict and bad:
         return 2
@@ -262,7 +262,7 @@ def cmd_bounds(args) -> int:
         # 3*gamma - n bounds only trees with a minimum dominating set
         # whose complement is independent
         dom = None
-        if find_gamma_set_independent_complement(t) is not None:
+        if find_gamma_set_independent_complement(t, profile) is not None:
             dom = formulas.tree_domination_bound(profile.n, profile.gamma)
         stated, proof = formulas.tree_independence_bounds(profile.n, profile.beta0)
         print(

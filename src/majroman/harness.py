@@ -19,7 +19,8 @@ or BOUND_TIGHT/BOUND_HOLDS/MISMATCH).
 
 Instances that fail a theorem's hypothesis (e.g. a subadditivity operand
 with a negative optimum, or a tree without a minimum dominating set with
-independent complement) are excluded, not failed.
+independent complement) are excluded, not failed. An operand whose
+optimum is not proven fails no hypothesis: its pair is an UNPROVEN row.
 """
 
 from __future__ import annotations
@@ -206,7 +207,7 @@ def _check_tree_bounds(params, opts) -> Iterator[ReportRow]:
         )
 
         # (b) 3*gamma - n, only when the hypothesis holds
-        s = find_gamma_set_independent_complement(t)
+        s = find_gamma_set_independent_complement(t, profile)
         if s is not None:
             dom_cert = certs.cert_tree_from_dominating_set(t, s)
             dom_report = validate(t, dom_cert.labeling, opts.threshold_mode)
@@ -248,12 +249,10 @@ def _check_subadditivity(params, opts) -> Iterator[ReportRow]:
         h = generate(h_spec)
         opt_g = _exact(g, opts)
         opt_h = _exact(h, opts)
-        if opt_g is None or opt_h is None:
-            continue
-        if opt_g < 0 or opt_h < 0:
+        if any(opt is not None and opt < 0 for opt in (opt_g, opt_h)):
             continue  # hypothesis requires both operands non-negative
-        optimum = _exact(join(g, h), opts)
-        bound = opt_g + opt_h
+        bound = None if None in (opt_g, opt_h) else opt_g + opt_h
+        optimum = None if bound is None else _exact(join(g, h), opts)
         yield ReportRow(
             spec=f"{g_spec.label()}v{h_spec.label()}",
             predicted=bound,

@@ -11,6 +11,8 @@ Two independent routes:
   Memory stays near 3^9 x n int16 per array at any n.
 * ``branch_and_bound`` -- DFS over partial labelings with four safe
   pruning rules, usable beyond the brute-force cap and on sparse graphs.
+  The labelling is passed down the recursion as bitmasks that only grow;
+  the per-vertex potentials of the majority rule are the only state undone.
   Before searching it compares the incumbent with
   ``majority_lower_bound`` (thr-th smallest degree + 2 - n); a seed that
   meets the bound is optimal and is returned with no search at all.
@@ -237,13 +239,14 @@ class _Search:
     Rules (b) and (c) are tested before a child is applied: one
     read-only pass over N[u] counts the closed neighbours each of the -1
     and +1 children would kill and finds the guards they would break, so a
-    dead child is counted as a node but never assigned or undone. The
-    2 child breaks no guard and kills no vertex. Rule (d) is tested on
-    entry to a node.
+    dead child is counted as a node but never applied. The 2 child breaks
+    no guard and kills no vertex. Rule (d) is tested on entry to a node.
 
-    ``cover`` only grows along a branch, so it is an argument of ``dfs``:
-    the 2 child recurses with the open neighbours of u added, the -1 and
-    +1 children with it unchanged, and nothing is undone.
+    The labelling is passed down ``dfs`` as three bitmasks that only grow
+    along a branch, so nothing in them is undone: ``minus`` and ``twos``
+    (the vertices assigned -1 and 2; the rest of ``order[:depth]`` are +1)
+    and ``cover`` (the vertices with an assigned 2-neighbour). The
+    potentials and ``dead_count`` are the only state a child undoes.
 
     Every rule only cuts subtrees with no valid leaf lighter than the
     incumbent, so the incumbent sequence, and with it the witness, is the
@@ -260,16 +263,13 @@ class _Search:
         # no limit is a count the search never reaches
         self.node_limit = sys.maxsize if node_limit is None else node_limit
         self.closed_nbrs = [sorted(g.adj[v] | {v}) for v in range(n)]
-        self.open_nbrs = [sorted(g.adj[v]) for v in range(n)]
         self.open_mask = [sum(1 << w for w in g.adj[v]) for v in range(n)]
         # unassigned[d] = bitmask of order[d:]
         self.unassigned = [0] * (n + 1)
         for d in range(n - 1, -1, -1):
             self.unassigned[d] = self.unassigned[d + 1] | 1 << order[d]
-        self.label = [0] * n
         # rule (c): closed sum + 2 * unassigned closed neighbours
         self.potential = [2 * len(g.adj[v]) + 2 for v in range(n)]
-        self.un_open = [len(g.adj[v]) for v in range(n)]
         # slack[i] = i - 2 * (sum of the degrees of order[:i])
         self.slack = [0] * (n + 1)
         for i, v in enumerate(order):
@@ -279,29 +279,13 @@ class _Search:
         self.nodes = 0
         self.truncated = False
 
-    def assign(self, u: int, x: int, deaths: int) -> None:
-        """Label u with x, which drops the potential of ``deaths`` closed
-        neighbours of u below 1."""
-        self.label[u] = x
+    def shift(self, u: int, step: int, deaths: int) -> None:
+        """Add ``step`` to the potentials of N[u] and ``deaths`` to
+        ``dead_count``; labelling u with x shifts by x - 2, and back."""
         potential = self.potential
-        step = x - 2
         for v in self.closed_nbrs[u]:
             potential[v] += step
-        un_open = self.un_open
-        for v in self.open_nbrs[u]:
-            un_open[v] -= 1
         self.dead_count += deaths
-
-    def unassign(self, u: int, x: int, deaths: int) -> None:
-        self.dead_count -= deaths
-        un_open = self.un_open
-        for v in self.open_nbrs[u]:
-            un_open[v] += 1
-        potential = self.potential
-        step = x - 2
-        for v in self.closed_nbrs[u]:
-            potential[v] -= step
-        self.label[u] = 0
 
     def capacity_bound_reaches(self, depth: int, need: int, cover: int) -> bool:
         """Whether rule (d) bounds the weight of the unassigned vertices by
@@ -330,55 +314,61 @@ class _Search:
         # a = k: f1 = 2k is at least f2
         return f1 >= need
 
-    def dfs(self, depth: int, cur_w: int, cover: int) -> None:
+    def dfs(self, depth: int, cur_w: int, cover: int, minus: int, twos: int) -> None:
         n = self.n
         if depth == n:
             # every leaf reached here satisfies both conditions: guard and
             # majority deaths were pruned on the way down
             if cur_w < self.weight:
                 self.weight = cur_w
-                self.witness = tuple(self.label)
+                self.witness = tuple(
+                    -1 if minus >> v & 1 else 2 if twos >> v & 1 else 1
+                    for v in range(n)
+                )
             return
         if self.capacity_bound_reaches(depth, self.weight - cur_w, cover):
             return
         u = self.order[depth]
+        bit = 1 << u
+        unassigned = self.unassigned[depth]
+        open_mask = self.open_mask
+        potential = self.potential
         # one read-only pass over N[u] decides rules (b) and (c) for the
         # -1 and +1 children; the 2 child always lives
-        label = self.label
-        un_open = self.un_open
-        potential = self.potential
         # (b): u labelled -1 needs a neighbour that is unassigned or a 2
-        minus_lives = un_open[u] > 0 or cover >> u & 1
+        minus_lives = open_mask[u] & unassigned or cover >> u & 1
         plus_lives = True
-        # (c): a closed neighbour's potential drops by 3 under -1 and by 1
-        # under +1; count the live ones it takes below 1
+        # (b): the -1 neighbours of u that have no 2-neighbour
+        unguarded = minus & ~cover & open_mask[u]
         minus_deaths = plus_deaths = 0
         for v in self.closed_nbrs[u]:
-            # (b): a -1 neighbour whose last unassigned neighbour is u
-            # and that has no 2-neighbour dies unless u takes 2
-            if label[v] == -1 and un_open[v] == 1 and not cover >> v & 1:
+            # (b): an unguarded neighbour whose last unassigned neighbour is
+            # u dies unless u takes 2
+            if unguarded and unguarded >> v & 1 and open_mask[v] & unassigned == bit:
                 minus_lives = plus_lives = False
                 break
+            # (c): a closed neighbour's potential drops by 3 under -1 and by
+            # 1 under +1; count the live ones it takes below 1
             if 1 <= potential[v] < 4:
                 minus_deaths += 1
                 if potential[v] < 2:
                     plus_deaths += 1
         room = self.allowed_unsat - self.dead_count
         children = (
-            (-1, minus_deaths, minus_lives and minus_deaths <= room, cover),
-            (1, plus_deaths, plus_lives and plus_deaths <= room, cover),
-            (2, 0, True, cover | self.open_mask[u]),
+            (-1, minus_deaths, minus_lives, cover, minus | bit, twos),
+            (1, plus_deaths, plus_lives, cover, minus, twos),
+            (2, 0, True, cover | open_mask[u], minus, twos | bit),
         )
-        for x, deaths, lives, child_cover in children:
+        for x, deaths, lives, child_cover, child_minus, child_twos in children:
             # also ends this loop once a child's subtree used up the limit
             if self.nodes >= self.node_limit:
                 self.truncated = True
                 return
             self.nodes += 1
-            if lives:
-                self.assign(u, x, deaths)
-                self.dfs(depth + 1, cur_w + x, child_cover)
-                self.unassign(u, x, deaths)
+            if lives and deaths <= room:
+                self.shift(u, x - 2, deaths)
+                self.dfs(depth + 1, cur_w + x, child_cover, child_minus, child_twos)
+                self.shift(u, 2 - x, -deaths)
 
 
 def branch_and_bound(
@@ -428,7 +418,7 @@ def branch_and_bound(
             elapsed=time.perf_counter() - t0,
         )
     search = _Search(g, order, weight, witness, allowed_unsat, opts.node_limit)
-    search.dfs(0, 0, 0)
+    search.dfs(0, 0, 0, 0, 0)
     return OptResult(
         optimum=search.weight,
         witness=search.witness,

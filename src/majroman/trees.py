@@ -109,27 +109,35 @@ def count_supports_leaves(t: Graph) -> Tuple[int, int]:
     return len(supports), len(leaves)
 
 
-def find_gamma_set_independent_complement(t: Graph) -> Optional[frozenset]:
+def find_gamma_set_independent_complement(
+    t: Graph, profile: Optional[TreeProfile] = None
+) -> Optional[frozenset]:
     """Some minimum dominating set with independent complement, or None.
 
     A set with independent complement is a vertex cover, and with no
     isolated vertex every vertex cover dominates. So such a set exists
     exactly when gamma = tau = n - beta0 (Gallai), and then the complement
-    of any maximum independent set is one. On K_1 the set is {0}.
+    of any maximum independent set is one. On K_1 the set is {0}. gamma
+    and that set are read from ``profile``, computed when not given.
     """
     if t.n == 1:
         return frozenset({0})
-    cover = frozenset(range(t.n)) - maximum_independent_set(t)
-    return cover if len(cover) == domination_number(t) else None
+    profile = profile or tree_profile(t)
+    cover = frozenset(range(t.n)) - profile.independent
+    return cover if len(cover) == profile.gamma else None
 
 
 @dataclass(frozen=True)
 class TreeProfile:
     n: int
     gamma: int
-    beta0: int
+    independent: frozenset
     supports: int
     leaves: int
+
+    @property
+    def beta0(self) -> int:
+        return len(self.independent)
 
 
 def tree_profile(t: Graph) -> TreeProfile:
@@ -137,7 +145,7 @@ def tree_profile(t: Graph) -> TreeProfile:
     return TreeProfile(
         n=t.n,
         gamma=domination_number(t),
-        beta0=independence_number(t),
+        independent=maximum_independent_set(t),
         supports=s,
         leaves=l,
     )

@@ -349,6 +349,23 @@ class TestCheck:
         assert code == 0
         assert "RESULT theorem=wheel rows=1 unproven=1" in out
 
+    def test_subadditivity_unproven_operands_are_rows(self, capsys):
+        code, out, _ = run(
+            capsys, "check", "--theorem", "subadditivity", "--count", "2",
+            "--method", "bb", "--node-limit", "5",
+        )
+        assert code == 0
+        assert out.splitlines()[-1] == "RESULT theorem=subadditivity rows=2 unproven=2"
+
+    def test_result_line_without_rows_has_no_trailing_space(self, capsys, monkeypatch):
+        entry = harness.THEOREMS["subadditivity"]
+        monkeypatch.setitem(
+            harness.THEOREMS, "subadditivity", entry._replace(instances=lambda: [])
+        )
+        code, out, _ = run(capsys, "check", "--theorem", "subadditivity")
+        assert code == 0
+        assert out.splitlines()[-1] == "RESULT theorem=subadditivity rows=0"
+
     def test_tree_bounds_beyond_brute_range_under_node_limit(self, capsys):
         # trees of any order run: the row solve and the certificate's
         # inner solve both stop at the node limit

@@ -225,6 +225,24 @@ class TestSubadditivity:
     def test_pairs_deterministic(self):
         assert subadditivity_pairs(10, 5) == subadditivity_pairs(10, 5)
 
+    def test_unproven_operand_gives_unproven_row(self):
+        # auto solves n <= 12 by brute force and C_13 by branch and bound,
+        # which stops at five nodes; W_8 is proven at -1
+        pairs = [
+            (GraphSpec("path", n=3), GraphSpec("cycle", n=13)),
+            (GraphSpec("cycle", n=13), GraphSpec("path", n=3)),
+            (GraphSpec("wheel", n=8), GraphSpec("cycle", n=13)),
+            (GraphSpec("path", n=2), GraphSpec("complete", n=1)),
+        ]
+        report = check("subadditivity", pairs, SolveOptions(node_limit=5))
+        # an unproven operand gives no bound; a negative one fails the
+        # hypothesis whatever the other operand is
+        assert [(r.spec, r.predicted, r.optimum, r.verdict) for r in report.rows] == [
+            ("P_3vC_13", None, None, "UNPROVEN"),
+            ("C_13vP_3", None, None, "UNPROVEN"),
+            ("P_2vK_1", 2, 2, "BOUND_TIGHT"),
+        ]
+
 
 class TestLemmaCheck:
     def test_holds(self):

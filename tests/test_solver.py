@@ -389,7 +389,7 @@ class TestSearchPotential:
     )
     def test_recounted_at_every_node(self, monkeypatch, g, limit, mode):
         closed = [g.adj[v] | {v} for v in range(g.n)]
-        fields = ("label", "potential", "un_open", "dead_count")
+        fields = ("potential", "dead_count")
 
         def state(search):
             return {f: copy.copy(getattr(search, f)) for f in fields}
@@ -398,34 +398,50 @@ class TestSearchPotential:
         visits = 0
         dfs = solver._Search.dfs
 
-        def checked(search, depth, cur_w, cover):
+        def checked(search, depth, cur_w, cover, minus, twos):
             nonlocal visits
             visits += 1
             if not roots:
                 roots.append((search, state(search)))
-            label = search.label
+            assigned = sum(1 << v for v in search.order[:depth])
+            assert minus & twos == 0
+            assert (minus | twos) & ~assigned == 0
+            # the labelling the masks hold; 0 marks an unassigned vertex
+            label = [
+                -1 if minus >> v & 1 else 2 if twos >> v & 1 else assigned >> v & 1
+                for v in range(g.n)
+            ]
+            assert cur_w == sum(label)
             # f(N[v]) over the assigned vertices + 2 per unassigned one
             potential = [
                 sum(label[w] if label[w] else 2 for w in nbrs) for nbrs in closed
             ]
             assert search.potential == potential
             assert search.dead_count == sum(p < 1 for p in potential)
-            assert search.un_open == [
-                sum(not label[w] for w in g.adj[v]) for v in range(g.n)
-            ]
             assert cover == sum(
                 1 << v for v in range(g.n) if any(label[w] == 2 for w in g.adj[v])
             )
-            assert [label[v] != 0 for v in search.order] == [
-                i < depth for i in range(g.n)
-            ]
-            dfs(search, depth, cur_w, cover)
+            dfs(search, depth, cur_w, cover, minus, twos)
 
         monkeypatch.setattr(solver._Search, "dfs", checked)
         res = branch_and_bound(g, SolveOptions(threshold_mode=mode, node_limit=limit))
         assert res.proven == (limit is None) and visits > g.n
         ((search, initial),) = roots
         assert state(search) == initial
+
+
+# the wheels and fans the family_bb benchmark checks, seeded with their
+# certificates: nodes, optimum and witness (- for -1, + for +1, 2 for 2)
+SEEDED_SEARCH_PINS = {
+    ("wheel", 13): (2226, -4, "2--+--+--+---"),
+    ("wheel", 14): (2865, -5, "2--+--+--+----"),
+    ("wheel", 15): (3276, -6, "2--+--+--+-----"),
+    ("wheel", 16): (4134, -7, "2--+--+--+------"),
+    ("fan", 13): (2109, -4, "2--+--+--+---"),
+    ("fan", 14): (2730, -5, "2--+--+--+----"),
+    ("fan", 15): (3150, -6, "2--+--+--+-----"),
+    ("fan", 16): (3990, -7, "2--+--+--+------"),
+}
 
 
 class TestMajorityLowerBound:
@@ -450,15 +466,18 @@ class TestMajorityLowerBound:
         assert res.optimum == majority_lower_bound(cert.graph)
 
     def test_seed_above_bound_still_searches(self):
-        cert = cert_wheel_fan(16, "wheel")
-        assert majority_lower_bound(cert.graph) < validate(
-            cert.graph, cert.labeling
-        ).weight
-        res = branch_and_bound(
-            cert.graph, SolveOptions(seed_labeling=cert.labeling)
-        )
-        assert res.proven and res.nodes_explored == 4134
-        assert res.optimum == -7
+        for (kind, n), (nodes, optimum, labels) in SEEDED_SEARCH_PINS.items():
+            cert = cert_wheel_fan(n, kind)
+            assert majority_lower_bound(cert.graph) < validate(
+                cert.graph, cert.labeling
+            ).weight
+            res = branch_and_bound(
+                cert.graph, SolveOptions(seed_labeling=cert.labeling)
+            )
+            assert res.proven and res.nodes_explored == nodes
+            assert res.optimum == optimum
+            witness = tuple({"-": -1, "+": 1, "2": 2}[c] for c in labels)
+            assert res.witness == witness
 
     def test_values(self):
         # thr-th smallest degree + 2 - n; thr = 0 gives -n
