@@ -1,12 +1,13 @@
 """Constructive labelings transcribed from the source proofs.
 
 Policy: transcribe each proof labeling literally, even where its index
-ranges look defective. The clause filler applies first-match-wins,
-defaults uncovered vertices to +1, and flags gaps and overlaps as defects
-instead of silently repairing them; downstream validation classifies each
-certificate as valid or not. A "repaired" transcription marks a labeling
-we had to construct ourselves (the source states the value but not the
-labeling) or adjust to reach the claimed weight.
+ranges look defective. The clause filler applies first-match-wins, gives
+uncovered vertices the source's "otherwise" label, and flags overlaps and
+unlabelled gaps (set to +1) as defects instead of silently repairing them;
+downstream validation classifies each certificate as valid or not. A
+"repaired" transcription marks a labeling we had to construct ourselves
+(the source states the value but not the labeling) or adjust to reach
+the claimed weight.
 
 Index convention: the source's 1-based v_1..v_n maps to vertices 0..n-1.
 """
@@ -17,13 +18,15 @@ from dataclasses import dataclass, replace
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .formulas import (
+    CORONA_DOMAIN,
     ceil_div,
+    corona_covers,
     corona_lower_bound,
     corona_upper_bound,
     exact_value,
     outside_domain,
 )
-from .graph import Graph, GraphSpec, generate
+from .graph import Graph, GraphSpec, corona, generate
 from .solver import SolveOptions, solve
 from .trees import is_tree
 
@@ -43,11 +46,16 @@ class CertificateError(ValueError):
     pass
 
 
-def _fill(n: int, clauses: Sequence[Tuple[Iterable[int], int]]):
+def _fill(
+    n: int,
+    clauses: Sequence[Tuple[Iterable[int], int]],
+    otherwise: Optional[int] = None,
+):
     """Assign labels from (index-set, label) clauses, first match wins.
 
-    Indices are 0-based. Out-of-range indices, overlaps, and uncovered
-    vertices (defaulted to +1) are reported as defects.
+    Indices are 0-based. Out-of-range indices and overlaps are reported
+    as defects. Uncovered vertices take the source's ``otherwise`` label;
+    where the source states none, they default to +1 as a defect.
     """
     labels = [None] * n
     defects: List[str] = []
@@ -62,8 +70,9 @@ def _fill(n: int, clauses: Sequence[Tuple[Iterable[int], int]]):
                 defects.append(f"index {i} covered by multiple clauses; first wins")
     for i in range(n):
         if labels[i] is None:
-            defects.append(f"index {i} uncovered; defaulted to +1")
-            labels[i] = 1
+            labels[i] = 1 if otherwise is None else otherwise
+            if otherwise is None:
+                defects.append(f"index {i} uncovered; defaulted to +1")
     return tuple(labels), tuple(defects)
 
 
@@ -148,13 +157,7 @@ def cert_wheel_fan(n: int, family: str = "wheel") -> Certificate:
         raise CertificateError("family must be 'wheel' or 'fan'")
     cert = _exact(family, n)
     ones = [3 * k for k in range(1, ceil_div(n, 6) + 1)]
-    clauses = [
-        ([0], 2),
-        (ones, 1),
-        (range(1, n), -1),
-    ]
-    labels, defects = _fill(n, clauses)
-    defects = tuple(d for d in defects if "multiple clauses" not in d)
+    labels, defects = _fill(n, [([0], 2), (ones, 1)], otherwise=-1)
     return replace(cert, labeling=labels, defects=defects)
 
 
@@ -162,6 +165,7 @@ def cert_complement_path(n: int) -> Certificate:
     """Residue-class labelings of the complement of a path, weight -1."""
     cert = _exact("complement_path", n)
     k = n // 3
+    otherwise = None
     if n % 3 == 0:
         clauses = [
             ([0], 1),
@@ -169,19 +173,14 @@ def cert_complement_path(n: int) -> Certificate:
             (range(2 * n // 3 + 1, n), 2),
         ]
     elif n % 3 == 1:
-        clauses = [
-            (range(1, 2 * k + 2), -1),
-            (range(0, n), 2),  # "otherwise"
-        ]
+        clauses, otherwise = [(range(1, 2 * k + 2), -1)], 2
     else:
         clauses = [
             ([0, n - 1], 1),
             (range(1, 2 * k + 2), -1),
             (range(2 * k + 2, 3 * k + 1), 2),
         ]
-    labels, defects = _fill(n, clauses)
-    if n % 3 == 1:
-        defects = tuple(d for d in defects if "multiple clauses" not in d)
+    labels, defects = _fill(n, clauses, otherwise)
     return replace(cert, labeling=labels, defects=defects)
 
 
@@ -199,10 +198,8 @@ def cert_complete_minus_matching(n: int) -> Certificate:
     clauses = [
         (range(1, n + 2), -1),
         ([0, order - 1], 2),
-        (range(0, order), 1),  # "otherwise"
     ]
-    labels, defects = _fill(order, clauses)
-    defects = tuple(d for d in defects if "multiple clauses" not in d)
+    labels, defects = _fill(order, clauses, otherwise=1)
     return replace(cert, labeling=labels, defects=defects)
 
 
@@ -221,21 +218,21 @@ def cert_corona_k3(k: int) -> Certificate:
     return replace(cert, labeling=tuple(labels))
 
 
-def _corona_parts(g_spec: GraphSpec, h_spec: GraphSpec):
+def _corona_parts(g_spec: GraphSpec, h_spec: GraphSpec, source: str):
+    """|G|, |H| and the certificate of G o H before its labels and claimed
+    weight. Raises CertificateError unless H meets the corona hypothesis."""
     g = generate(g_spec)
     h = generate(h_spec)
+    if not corona_covers(h):
+        raise CertificateError(CORONA_DOMAIN)
     spec = GraphSpec("corona", parts=(g_spec, h_spec))
-    return g, h, spec, generate(spec)
+    return g.n, h.n, Certificate(corona(g, h), (), None, source, "literal", spec)
 
 
 def cert_corona_general(g_spec: GraphSpec, h_spec: GraphSpec) -> Certificate:
     """Upper-bound construction: anchors 2; first ceil(n/2) copies get m-1
-    ones and one -1; remaining copies all -1. Requires H connected with
-    min degree >= 2."""
-    g, h, spec, graph = _corona_parts(g_spec, h_spec)
-    n, m = g.n, h.n
-    if m < 3 or not h.is_connected() or min(len(h.adj[v]) for v in range(m)) < 2:
-        raise CertificateError("requires H connected with min degree >= 2")
+    ones and one -1; remaining copies all -1."""
+    n, m, cert = _corona_parts(g_spec, h_spec, "corona_upper")
     labels = [2] * n
     half_up = ceil_div(n, 2)
     for i in range(n):
@@ -243,24 +240,15 @@ def cert_corona_general(g_spec: GraphSpec, h_spec: GraphSpec) -> Certificate:
             labels += [1] * (m - 1) + [-1]
         else:
             labels += [-1] * m
-    return Certificate(
-        graph=graph,
-        labeling=tuple(labels),
-        claimed_weight=corona_upper_bound(n, m)[1],
-        source="corona_upper",
-        transcription="literal",
-        spec=spec,
-    )
+    claimed = corona_upper_bound(n, m)[1]
+    return replace(cert, labeling=tuple(labels), claimed_weight=claimed)
 
 
 def cert_corona_floor(g_spec: GraphSpec, h_spec: GraphSpec) -> Certificate:
     """Lower-bound construction: anchors 2; first floor(n/m) copies get one
     +1 and m-1 (-1)s; remaining copies all -1. Validity is not guaranteed
     (the source itself notes it can fail the majority count)."""
-    g, h, spec, graph = _corona_parts(g_spec, h_spec)
-    n, m = g.n, h.n
-    if m < 3 or min(len(h.adj[v]) for v in range(m)) < 2:
-        raise CertificateError("requires H with min degree >= 2")
+    n, m, cert = _corona_parts(g_spec, h_spec, "corona_lower")
     labels = [2] * n
     plus_copies = n // m
     for i in range(n):
@@ -268,14 +256,8 @@ def cert_corona_floor(g_spec: GraphSpec, h_spec: GraphSpec) -> Certificate:
             labels += [1] + [-1] * (m - 1)
         else:
             labels += [-1] * m
-    return Certificate(
-        graph=graph,
-        labeling=tuple(labels),
-        claimed_weight=corona_lower_bound(n, m),
-        source="corona_lower",
-        transcription="literal",
-        spec=spec,
-    )
+    claimed = corona_lower_bound(n, m)
+    return replace(cert, labeling=tuple(labels), claimed_weight=claimed)
 
 
 # family -> its certificate builder, taking the family's parameters in

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
-from .graph import FAMILIES, GraphSpec, generate
+from .graph import FAMILIES, Graph, GraphSpec, generate
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -64,7 +64,15 @@ def tree_independence_bounds(n: int, beta0: int) -> Tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# corona bounds (|G| = n, |H| = m, H connected with min degree >= 2)
+# corona bounds (|G| = n, |H| = m, H within CORONA_DOMAIN)
+
+CORONA_DOMAIN = "needs H connected with min degree >= 2 (so |H| >= 3)"
+
+
+def corona_covers(h: Graph) -> bool:
+    """Whether H meets the hypothesis of every corona bound, as stated in
+    ``CORONA_DOMAIN``."""
+    return h.n >= 3 and h.is_connected() and min(map(len, h.adj)) >= 2
 
 
 def corona_upper_bound(n: int, m: int) -> Tuple[int, int]:
@@ -183,16 +191,16 @@ def predict(spec: GraphSpec) -> List[Prediction]:
         g = generate(g_spec)
         h = generate(h_spec)
         n, m = g.n, h.n
-        if m >= 3 and h.is_connected() and min(len(h.adj[v]) for v in range(m)) >= 2:
+        if corona_covers(h):
             stated, construction = corona_upper_bound(n, m)
             out.append(Prediction("upper", "corona_upper_stated", stated))
             out.append(Prediction("upper", "corona_upper_construction", construction))
             out.append(Prediction("lower", "corona_lower", corona_lower_bound(n, m)))
         else:
-            reason = "needs H connected with min degree >= 2 (so |H| >= 3)"
-            out.append(Prediction.inapplicable("upper", "corona_upper_stated", reason))
-            out.append(
-                Prediction.inapplicable("upper", "corona_upper_construction", reason)
-            )
-            out.append(Prediction.inapplicable("lower", "corona_lower", reason))
+            for kind, source in (
+                ("upper", "corona_upper_stated"),
+                ("upper", "corona_upper_construction"),
+                ("lower", "corona_lower"),
+            ):
+                out.append(Prediction.inapplicable(kind, source, CORONA_DOMAIN))
     return out

@@ -236,10 +236,12 @@ def gnp(n: int, p: float, seed: int, require_edge: bool = False) -> Graph:
 
     With ``require_edge`` the sample is redrawn (advancing the same RNG)
     until it has at least one edge; used where a formula needs max degree
-    >= 1.
+    >= 1. No draw with p <= 0 has an edge, so there it raises GraphError.
     """
     if n < 1:
         raise GraphError("G(n,p) requires n >= 1")
+    if require_edge and p <= 0 and n >= 2:
+        raise GraphError("G(n,p) with p <= 0 has no edge to require")
     rng = random.Random(seed)
     while True:
         edges = [
@@ -290,27 +292,27 @@ def corona(g: Graph, h: Graph) -> Graph:
 
 
 def complement_path(n: int) -> Graph:
-    if n is None or n < 2:
+    if n < 2:
         raise GraphError("ComplementPath requires n >= 2")
     return complement(path(n))
 
 
 def complement_cycle(n: int) -> Graph:
-    if n is None or n < 3:
+    if n < 3:
         raise GraphError("ComplementCycle requires n >= 3")
     return complement(cycle(n))
 
 
 def join_complete(m: int, n: int) -> Graph:
     """K_m v K_n: the K_m side is vertices 0..m-1."""
-    if m is None or n is None or m < 1 or n < 1:
+    if m < 1 or n < 1:
         raise GraphError("JoinComplete requires m >= 1 and n >= 1")
     return join(complete(m), complete(n))
 
 
 def corona_k3(k: int) -> Graph:
     """K_{3k} o K_3."""
-    if k is None or k < 1:
+    if k < 1:
         raise GraphError("CoronaK3K3 requires k >= 1")
     return corona(complete(3 * k), complete(3))
 
@@ -391,7 +393,11 @@ def generate(spec: GraphSpec) -> Graph:
             raise GraphError("Corona requires two component specs")
         return corona(generate(spec.parts[0]), generate(spec.parts[1]))
     if f in FAMILIES:
-        return FAMILIES[f].build(*spec.params())
+        params = spec.params()
+        for field, value in zip(FAMILIES[f].fields, params):
+            if value is None:
+                raise GraphError(f"{f} requires {field}")
+        return FAMILIES[f].build(*params)
     raise GraphError(f"unknown family {f!r}")
 
 

@@ -85,8 +85,7 @@ def validate(
     g: Graph, labels: Sequence[int], threshold_mode: str = "ceil"
 ) -> ValidationReport:
     """Check both conditions and aggregate the outcome."""
-    check_labeling(g, labels)
-    sat = satisfied_count(g, labels)
+    sat = satisfied_count(g, labels)  # checks the labeling first
     thr = majority_threshold(g.n, threshold_mode)
     violations = tuple(
         v

@@ -31,12 +31,12 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .graph import Graph
-from .labeling import majority_threshold, validate, weight as label_weight
+from .labeling import majority_threshold, validate
 
 
 class SolverError(RuntimeError):
@@ -418,7 +418,13 @@ def branch_and_bound(
             elapsed=time.perf_counter() - t0,
         )
     search = _Search(g, order, weight, witness, allowed_unsat, opts.node_limit)
-    search.dfs(0, 0, 0, 0, 0)
+    # dfs recurses once per vertex, past the default limit of 1000 frames
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, n + 1000))
+    try:
+        search.dfs(0, 0, 0, 0, 0)
+    finally:
+        sys.setrecursionlimit(limit)
     return OptResult(
         optimum=search.weight,
         witness=search.witness,

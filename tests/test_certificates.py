@@ -9,6 +9,7 @@ import pytest
 from majroman.certificates import (
     CERTIFICATES,
     CertificateError,
+    _fill,
     cert_complement_cycle,
     cert_complement_path,
     cert_complete,
@@ -22,7 +23,12 @@ from majroman.certificates import (
     cert_tree_support_leaf,
     cert_wheel_fan,
 )
-from majroman.formulas import EXACT_VALUES, exact_value, tree_support_leaf_bound
+from majroman.formulas import (
+    EXACT_VALUES,
+    exact_value,
+    predict,
+    tree_support_leaf_bound,
+)
 from majroman.graph import (
     FAMILIES,
     GraphSpec,
@@ -57,6 +63,23 @@ def test_certificate_domain_is_the_closed_forms(family):
         cert = CERTIFICATES[family](*params)
         assert cert.claimed_weight == value, params
         assert_valid_at_claim(cert)
+
+
+class TestFill:
+    def test_otherwise_label_is_no_defect(self):
+        labels, defects = _fill(4, [([0], 2), ([1, 2], 1)], otherwise=-1)
+        assert labels == (2, 1, 1, -1)
+        assert defects == ()
+
+    def test_gap_without_otherwise_defaults_to_plus_one(self):
+        labels, defects = _fill(2, [([0], 2)])
+        assert labels == (2, 1)
+        assert defects == ("index 1 uncovered; defaulted to +1",)
+
+    def test_overlap_is_still_a_defect(self):
+        labels, defects = _fill(3, [([0, 1], 2), ([1], 1)], otherwise=-1)
+        assert labels == (2, 2, -1)
+        assert defects == ("index 1 covered by multiple clauses; first wins",)
 
 
 class TestComplete:
@@ -250,6 +273,40 @@ class TestCoronaGeneral:
             report = validate(cert.graph, cert.labeling)
             assert report.weight == cert.claimed_weight
             assert not report.is_valid
+
+
+@pytest.mark.parametrize(
+    "h_spec",
+    [
+        GraphSpec("complete", n=3),
+        GraphSpec("cycle", n=4),
+        GraphSpec("cycle", n=5),
+        GraphSpec("path", n=3),
+        GraphSpec("star", n=5),
+        GraphSpec("fan", n=5),
+        GraphSpec("wheel", n=5),
+        GraphSpec("complete_minus_matching", n=1),
+        GraphSpec("complete_minus_matching", n=3),
+    ],
+    ids=lambda s: s.label(),
+)
+def test_corona_builders_share_the_predict_hypothesis(h_spec):
+    # both builders refuse H exactly where predict marks all three corona
+    # bounds inapplicable, and elsewhere claim the predicted bound
+    g_spec = GraphSpec("complete", n=2)
+    spec = GraphSpec("corona", parts=(g_spec, h_spec))
+    preds = {p.source: p for p in predict(spec)}
+    applicable = {p.applicable for p in preds.values()}
+    assert len(preds) == 3 and len(applicable) == 1
+    for build, source in (
+        (cert_corona_general, "corona_upper_construction"),
+        (cert_corona_floor, "corona_lower"),
+    ):
+        if applicable == {True}:
+            assert build(g_spec, h_spec).claimed_weight == preds[source].value
+        else:
+            with pytest.raises(CertificateError):
+                build(g_spec, h_spec)
 
 
 class TestTreeDominationCert:

@@ -5,6 +5,7 @@ import pytest
 
 from majroman.formulas import (
     ceil_div,
+    corona_covers,
     corona_lower_bound,
     corona_upper_bound,
     exact_value,
@@ -14,7 +15,7 @@ from majroman.formulas import (
     tree_independence_bounds,
     tree_support_leaf_bound,
 )
-from majroman.graph import GraphSpec
+from majroman.graph import Graph, GraphSpec, complete
 from majroman.solver import brute_force
 from majroman.graph import double_star
 
@@ -183,6 +184,13 @@ class TestPredict:
             "corona", parts=(GraphSpec("complete", n=2), GraphSpec("path", n=3))
         )
         assert all(not p.applicable for p in predict(bad))
+
+    def test_corona_hypothesis_needs_connected_h(self):
+        assert corona_covers(complete(3))
+        # two disjoint triangles: min degree 2 but not connected
+        two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        assert not corona_covers(two_triangles)
+        assert not corona_covers(Graph(0, []))
 
     def test_no_closed_form(self):
         assert predict(GraphSpec("path", n=5)) == []

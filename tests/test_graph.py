@@ -5,6 +5,7 @@ import random
 import pytest
 
 from majroman.graph import (
+    FAMILIES,
     Graph,
     GraphError,
     GraphSpec,
@@ -221,6 +222,14 @@ class TestSpecs:
         with pytest.raises(GraphError):
             generate(GraphSpec("random_tree", n=5))  # seed required
 
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_generate_names_a_missing_field(self, family):
+        fields = FAMILIES[family].fields
+        for missing in fields:
+            given = {f: 4 for f in fields if f != missing}
+            with pytest.raises(GraphError, match=f"requires {missing}$"):
+                generate(GraphSpec(family, **given))
+
 
 class TestRandomGraphs:
     def test_random_tree_is_tree(self):
@@ -246,6 +255,13 @@ class TestRandomGraphs:
         for seed in range(30):
             g = gnp(4, 0.05, seed, require_edge=True)
             assert g.num_edges() >= 1
+
+    def test_gnp_require_edge_rejects_p_zero(self):
+        # no draw with p <= 0 has an edge, so redrawing would never end
+        for p in (0.0, -0.5):
+            with pytest.raises(GraphError):
+                gnp(4, p, 1, require_edge=True)
+        assert gnp(1, 0.0, 1, require_edge=True) == complete(1)
 
 
 class TestEdgeListIO:

@@ -5,6 +5,7 @@ import copy
 import hashlib
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -255,6 +256,16 @@ class TestBranchAndBound:
         )
         assert not short.proven
         assert short.nodes_explored == full.nodes_explored - 1
+
+    def test_deep_search_keeps_the_recursion_limit(self):
+        # dfs recurses once per vertex, deeper than the default limit
+        limit = sys.getrecursionlimit()
+        g = path(1500)
+        res = branch_and_bound(g, SolveOptions(node_limit=100_000))
+        assert sys.getrecursionlimit() == limit
+        assert not res.proven and res.nodes_explored == 100_000
+        report = validate(g, res.witness)
+        assert report.is_valid and report.weight == res.optimum
 
     def test_thread_count_has_no_effect(self):
         for g in (wheel(9), corona(complete(2), complete(3)), star(10)):
