@@ -4,11 +4,14 @@ Two independent routes:
 
 * ``brute_force`` -- exhaustive enumeration of all 3^n labelings (the
   reference oracle), capped at n <= 16 by default. The last min(n, 9)
-  vertices form a low block whose 3^9 rows (closed sums, 2-neighbour
-  counts, weights, guard bitmasks) are built once per call in int16 by
-  mixed-radix broadcasting; the 3^(n-9) labelings of the high prefix are
-  then swept in code order, re-comparing only the closed sums of N[high].
-  Memory stays near 3^9 x n int16 per array at any n.
+  vertices form a low block whose 3^9 rows (int8 closed sums and
+  2-neighbour counts, then satisfied counts and guard bitmasks) are built
+  once per call by mixed-radix broadcasting and kept sorted by weight. The
+  3^(n-9) labelings of the high prefix are then swept in code order by an
+  odometer that keeps one partial satisfied count per high digit and tests
+  only the rows light enough to beat the incumbent. Memory stays near 3^9
+  bytes per row: 2n rows while the block is built, then one row per
+  partial count and per value of each group's high sum.
 * ``branch_and_bound`` -- DFS over partial labelings with four safe
   pruning rules, usable beyond the brute-force cap and on sparse graphs.
   The labelling is passed down the recursion as bitmasks that only grow;
@@ -26,7 +29,6 @@ validity, hence the optimum is always < 2n for n >= 1.
 from __future__ import annotations
 
 import functools
-import itertools
 import sys
 import time
 from dataclasses import dataclass
@@ -74,26 +76,33 @@ class OptResult:
 
 _LABELS = (-1, 1, 2)
 # per digit: a closed neighbour adds its label, an open neighbour counts a 2
-_COEF = np.array([_LABELS, (0, 0, 1)], dtype=np.int16)[:, None, None, :]
+_COEF = np.array([_LABELS, (0, 0, 1)], dtype=np.int8)[:, None, None, :]
 # order of the low block, whose 3^_LOW rows are built once per call
 _LOW = 9
+# bit j of low vertex j, as a column
+_BITS = np.left_shift(1, np.arange(_LOW, dtype=np.int16))[:, None]
 
 
 @functools.lru_cache(maxsize=_LOW)
 def _block(k: int):
-    """Constant tables of the 3^k labelings of k vertices in code order.
+    """Constant tables of the 3^k labelings of k vertices.
 
-    Read-only and cached per block size: the (k, 3^k) int8 labels, the
-    int16 bit of vertex j where it is -1 (else 0), and the int16 row
-    weights.
+    Read-only and cached per block size: the int16 bitmask of the -1
+    vertices in code order; the codes sorted by weight, ties in code
+    order, with their int8 weights; and ``lighter``, where
+    ``lighter[t + k]`` counts the codes lighter than t for t = -k..2k + 1.
     """
-    axes = np.meshgrid(*[np.array(_LABELS, dtype=np.int8)] * k, indexing="ij")
-    labels = np.stack([a.reshape(-1) for a in axes])
-    bits = np.left_shift(1, np.arange(k, dtype=np.int16))[:, None]
-    tables = (labels, (labels == -1) * bits, labels.sum(axis=0, dtype=np.int16))
+    coef = np.zeros((2, k, 3), dtype=np.int16)
+    coef[0] = _LABELS
+    coef[1, :, 0] = _BITS[:k, 0]
+    weights, minus = _low_rows(coef)
+    order = np.argsort(weights, kind="stable")
+    sorted_w = weights[order].astype(np.int8)
+    tables = (minus, order, sorted_w)
     for t in tables:
         t.flags.writeable = False
-    return tables
+    lighter = np.searchsorted(sorted_w, np.arange(-k, 2 * k + 2)).tolist()
+    return tables + (lighter,)
 
 
 def _low_rows(coef: np.ndarray) -> np.ndarray:
@@ -110,6 +119,47 @@ def _low_rows(coef: np.ndarray) -> np.ndarray:
     return out
 
 
+def _decode(code: int, k: int) -> Tuple[int, ...]:
+    """The labels of the k low vertices at a code, most significant first."""
+    out = []
+    for _ in range(k):
+        code, d = divmod(code, 3)
+        out.append(_LABELS[d])
+    return tuple(reversed(out))
+
+
+def _group_tables(sums: np.ndarray, members, size: int, order: np.ndarray):
+    """Satisfied counts of one group of N[high] for each value of its high sum.
+
+    ``members`` are rows of ``sums``, each the low closed sums of one
+    vertex in code order. A member is satisfied when its low sum reaches
+    1 minus the sum s of the group's ``size`` high closed neighbours.
+    Entry s + size is (int8 row or None, constant): the count is the row,
+    its columns taken in ``order``, plus the constant. A sum that decides
+    every member whatever the low labels needs no row.
+    """
+    block = sums[members]
+    lo = block.min(axis=1).tolist()
+    hi = block.max(axis=1).tolist()
+    # size labels from (-1, 1, 2), p of them 1 and q of them 2
+    reached = {
+        2 * p + 3 * q - size for p in range(size + 1) for q in range(size + 1 - p)
+    }
+    cuts = [1 - s if s in reached else None for s in range(-size, 2 * size + 1)]
+    varies = [c is not None and any(a < c <= b for a, b in zip(lo, hi)) for c in cuts]
+    # reorder whichever is fewer: the member rows, or the count rows
+    if sum(varies) > len(members):
+        block, order = block.take(order, axis=1), None
+    tables = []
+    for cut, vary in zip(cuts, varies):
+        if not vary:
+            tables.append((None, 0 if cut is None else sum(a >= cut for a in lo)))
+            continue
+        row = np.add.reduce((block >= cut).view(np.int8), axis=0, dtype=np.int8)
+        tables.append((row if order is None else row[order], 0))
+    return tables
+
+
 def brute_force(g: Graph, options: Optional[SolveOptions] = None) -> OptResult:
     """Exhaustive minimum over all 3^n labelings.
 
@@ -117,16 +167,25 @@ def brute_force(g: Graph, options: Optional[SolveOptions] = None) -> OptResult:
     the lexicographically smallest over vertices 0..n-1 with value order
     (-1, +1, 2).
 
-    The last ``min(n, 9)`` vertices form the low block. Its 3^9 rows
-    are built once per call: each vertex's closed sum over the block, its
-    number of low 2-neighbours, the row weights and a guard bitmask. The
-    labelings of the high prefix (the first ``n - 9`` vertices) are then
-    swept in code order. Each one re-compares only the closed sums of
-    N[high], and tests the Roman guard with two bitmask tests per row:
-    a low -1 vertex with no low 2 needs a high 2 neighbour, and a high -1
-    vertex with no high 2 needs a low 2 neighbour. The best row of a
-    block is its first lightest valid one; a later block wins only when
-    strictly lighter.
+    The last ``min(n, 9)`` vertices form the low block. Its 3^9 rows are
+    built once per call from int8 closed sums and 2-neighbour counts, and
+    kept sorted by weight, ties in code order: the satisfied count of the
+    vertices outside N[high], a guard bitmask, and the low closed sums of
+    N[high]. The vertices of N[high] are grouped by their set H of high
+    closed neighbours, and each group gets one satisfied-count row per
+    value of the high sum over H.
+
+    The labelings x of the high prefix (the first ``n - 9`` vertices) are
+    then swept in code order by an odometer. A group joins the satisfied
+    count at the level of its last high vertex, and one partial count is
+    kept per level, so a change in digit j redoes only levels j and up,
+    each a few int8 row additions. A block tests only the low rows
+    lighter than the incumbent minus sum(x), a prefix of the sorted rows,
+    and is skipped when there is none. The Roman guard is one bitmask
+    test per row: a low -1 vertex with no low 2 needs a high 2
+    neighbour, and a high -1 vertex with no high 2 needs a low 2
+    neighbour. The first valid row of the prefix is the block's first
+    lightest valid one; a later block wins only when strictly lighter.
     """
     opts = options or SolveOptions()
     n = g.n
@@ -140,69 +199,116 @@ def brute_force(g: Graph, options: Optional[SolveOptions] = None) -> OptResult:
         return OptResult(0, (), 1, "brute_force", time.perf_counter() - t0)
     thr = majority_threshold(n, opts.threshold_mode)
     h = max(0, n - _LOW)
+    low = n - h
     high = range(h)
-    labels, minus_bits, low_w = _block(n - h)
+    minus, order, sorted_w, lighter = _block(low)
 
     # closed-sum rows of N[high] first (they change with the high labels),
     # then the rest; after them one row of low 2-neighbours per vertex
-    touched = sorted(set(high).union(*(g.adj[u] for u in high)))
-    order = touched + [v for v in range(n) if v not in touched]
-    adj = np.zeros(2 * n * n, dtype=np.int16)
+    touched = sorted(set(high).union(*g.adj[:h]))
+    rows_of = touched + [v for v in range(n) if v not in touched]
+    adj = np.zeros(2 * n * n, dtype=np.int8)
     adj[
-        [i * n + u for i, v in enumerate(order) for u in (v, *g.adj[v])]
+        [i * n + u for i, v in enumerate(rows_of) for u in (v, *g.adj[v])]
         + [(n + v) * n + u for v in range(n) for u in g.adj[v]]
     ] = 1
     coef = adj.reshape(2, n, n)[:, :, h:, None] * _COEF
-    rows = _low_rows(coef.reshape(2 * n, n - h, 3))
+    rows = _low_rows(coef.reshape(2 * n, low, 3))
     k = len(touched)
-    touched_sums = rows[:k]
-    sat_rest = np.add.reduce(rows[k:n] >= 1, axis=0, dtype=np.int16)
-    low_twos = rows[n:]
-    # bit j: low vertex h+j is -1 with no low 2-neighbour
-    low_needy = np.add.reduce(
-        (low_twos[h:] == 0) * minus_bits, axis=0, dtype=np.int16
-    )
-    all_low = (1 << (n - h)) - 1
-    if h:
-        # bit u: high vertex u has a low 2-neighbour
-        high_cov = np.add.reduce(
-            (low_twos[:h] > 0) * (1 << np.arange(h, dtype=np.int64))[:, None],
-            axis=0,
-        )
-        # per high vertex: its high neighbours and the bitmask of its low ones
-        high_adj = [[w for w in g.adj[u] if w < h] for u in high]
-        low_adj = [sum(1 << (w - h) for w in g.adj[u] if w >= h) for u in high]
-        # per vertex of N[high]: the high vertices in its closed neighbourhood
-        high_closed = [[u for u in high if u == v or u in g.adj[v]] for v in touched]
+    base = np.add.reduce((rows[k:n] >= 1).view(np.int8), axis=0, dtype=np.int8)
+    # guard bits, one per vertex: a low vertex that is -1 with no low
+    # 2-neighbour, a high vertex with no low 2-neighbour
+    twos = rows[n:]
+    bits = np.int16 if n < 16 else np.int64
+    no_two = np.add.reduce((twos[h:] == 0) * _BITS[:low], axis=0, dtype=np.int16)
+    guard = (no_two & minus).astype(bits) << h
+    for u in high:
+        guard |= (twos[u] == 0).astype(bits) << u
+    # the sweep tests prefixes of the rows sorted by weight
+    base, guard = base[order], guard[order]
 
+    # levels[j]: the tables of the groups whose last high vertex is j
+    groups = {}
+    for i, v in enumerate(touched):
+        key = tuple(u for u in high if u == v or u in g.adj[v])
+        groups.setdefault(key, []).append(i)
+    levels = [[] for _ in high]
+    for key, members in groups.items():
+        tables = _group_tables(rows, members, len(key), order)
+        levels[key[-1]].append((key, len(key), tables))
+    del rows, twos
+    # a row fails the guard when it shares a bit with the mask, which
+    # starts full and loses, per high vertex labelled +1 or 2, the bits
+    # it settles: its own, and for a 2 those of its neighbours
+    full = (1 << n) - 1
+    nbrs = [sum(1 << w for w in g.adj[u]) for u in high]
+    clears = [(0, 1 << u, (1 << u) | nbrs[u]) for u in high]
+
+    # partial[j]: the satisfied count of the vertices outside N[high] and
+    # of the groups of levels < j, held as an int8 row plus a constant,
+    # with the mask bits that high vertices < j clear
+    partial = [(base, 0, 0)] + [None] * h
+    bufs = [np.empty_like(base) for _ in high]
+    stale = 0  # the lowest level whose partial count is out of date
+    digits = [0] * h
+    x = [-1] * h
+    sx = -h
     best_w: Optional[int] = None
     best = None
-    for x in itertools.product(_LABELS, repeat=h):
-        sat = sat_rest
-        cover = 0
-        needy = 0
-        if h:
-            # a vertex of N[high] is satisfied when its low sum reaches
-            # 1 minus what its high closed neighbours add
-            cut = np.array(
-                [[1 - sum(x[u] for u in us)] for us in high_closed], dtype=np.int16
-            )
-            sat = sat + np.add.reduce(touched_sums >= cut, axis=0, dtype=np.int16)
-            for u in high:
-                if x[u] == 2:
-                    cover |= low_adj[u]
-                elif x[u] == -1 and all(x[w] != 2 for w in high_adj[u]):
-                    needy |= 1 << u
-        ok = (sat >= thr) & ((low_needy & (all_low & ~cover)) == 0)
-        if needy:
-            ok &= (high_cov & needy) == needy
-        if not ok.any():
-            continue
-        i = int(np.argmin(np.where(ok, low_w, np.int16(2 * n + 1))))
-        w = int(low_w[i]) + sum(x)
-        if best_w is None or w < best_w:
-            best_w = w
-            best = x + tuple(int(v) for v in labels[:, i])
+    while True:
+        if best_w is None:
+            m = len(order)
+        else:
+            m = lighter[min(max(best_w - sx + low, 0), 3 * low + 1)]
+        if m:
+            # the last level is added on the prefix alone
+            for j in range(stale, h):
+                row, const, clear = partial[j]
+                if j == h - 1:
+                    row = row[:m]
+                buf = None
+                for key, size, tables in levels[j]:
+                    add, c = tables[sum(map(x.__getitem__, key)) + size]
+                    const += c
+                    if add is None:
+                        continue
+                    if j == h - 1:
+                        add = add[:m]
+                    if buf is None:
+                        buf = bufs[j][: len(row)]
+                        np.add(row, add, out=buf)
+                    else:
+                        buf += add
+                clear |= clears[j][digits[j]]
+                partial[j + 1] = (row if buf is None else buf, const, clear)
+            stale = max(h - 1, 0)
+            row, const, clear = partial[h]
+            ok = row[:m] >= thr - const
+            # rows sharing a bit with the guard mask fail; the mask is
+            # full until a high vertex settles a bit
+            if clear:
+                ok &= (guard[:m] & (full & ~clear)) == 0
+            else:
+                ok &= guard[:m] == 0
+            # the first valid row is the block's first lightest valid one,
+            # and lighter than the incumbent
+            i = int(ok.argmax())
+            if ok[i]:
+                best_w = int(sorted_w[i]) + sx
+                best = tuple(x) + _decode(int(order[i]), low)
+        # next high labeling in code order: the last digit turns fastest
+        j = h - 1
+        while j >= 0 and digits[j] == 2:
+            digits[j] = 0
+            x[j] = -1
+            sx -= 3
+            j -= 1
+        if j < 0:
+            break
+        digits[j] += 1
+        sx += _LABELS[digits[j]] - x[j]
+        x[j] = _LABELS[digits[j]]
+        stale = min(stale, j)
     # the all-2 labeling is valid on every graph, so best is set
     return OptResult(
         optimum=best_w,

@@ -2,6 +2,7 @@
 lower bound."""
 
 import copy
+import gc
 import hashlib
 import itertools
 import random
@@ -143,8 +144,10 @@ def small_graphs():
     return [pytest.param(g, id=name) for name, g in out]
 
 
-# optima and witnesses of the earlier chunked enumeration, on orders that
-# span the 11-vertex low block and a swept high prefix
+# optima and witnesses of earlier enumerations, on orders n = 10..16: the
+# 9-vertex low block under a swept high prefix of 1..7 vertices, in both
+# modes (the first six from the chunked enumeration with an 11-vertex low
+# block, the rest from the row-comparing sweep)
 FROZEN_WITNESSES = [
     (random_tree(12, 12), "ceil", 1, (-1, -1, -1, 1, -1, 2, 1, 2, -1, -1, 2, -1)),
     (random_tree(13, 13), "floor", 0, (-1, -1, -1, -1, 2, -1, -1, 1, -1, 1, 2, -1, 2)),
@@ -152,6 +155,47 @@ FROZEN_WITNESSES = [
     (gnp(13, 0.3, 13), "ceil", -1, (-1, -1, -1, -1, -1, 2, 2, -1, -1, 2, 2, -1, -1)),
     (gnp(14, 0.3, 14), "floor", -4, (-1, 2, -1, -1, -1, -1, 2, -1, -1, -1, 1, -1, 1, -1)),
     (wheel(13), "ceil", -4, (2, -1, -1, -1, -1, -1, -1, -1, 1, -1, -1, 1, 1)),
+    (random_tree(10, 30), "ceil", 1, (-1, -1, -1, -1, 2, -1, 1, -1, 2, 2)),
+    (gnp(10, 0.3, 11), "floor", -2, (-1, -1, -1, 2, -1, -1, 1, 2, -1, -1)),
+    (gnp(10, 0.8, 12), "ceil", 0, (-1, -1, -1, -1, -1, 1, 1, 2, -1, 2)),
+    (wheel(10), "floor", -3, (2, -1, -1, -1, -1, -1, -1, 1, -1, 1)),
+    (random_tree(11, 33), "floor", 2, (-1, -1, 2, 2, -1, -1, 1, 1, -1, 2, -1)),
+    (gnp(11, 0.3, 12), "ceil", 0, (-1, -1, 1, -1, 2, 1, -1, 1, -1, -1, 1)),
+    (gnp(11, 0.8, 13), "floor", 0, (-1, -1, -1, -1, -1, -1, -1, 1, 2, 2, 2)),
+    (wheel(11), "ceil", -4, (2, -1, -1, -1, -1, -1, -1, 1, -1, -1, 1)),
+    (random_tree(12, 36), "ceil", 1, (2, -1, -1, 2, -1, -1, 1, -1, -1, 2, 1, -1)),
+    (gnp(12, 0.3, 13), "floor", -2, (-1, 1, -1, -1, -1, -1, -1, -1, 2, 2, 1, -1)),
+    (gnp(12, 0.8, 14), "ceil", 0, (-1, -1, -1, -1, -1, -1, -1, -1, 2, 2, 2, 2)),
+    (wheel(12), "floor", -5, (2, -1, -1, -1, -1, -1, -1, -1, 1, -1, -1, 1)),
+    (random_tree(13, 39), "floor", 0, (2, -1, -1, 2, 2, -1, -1, -1, -1, -1, -1, 1, 1)),
+    (gnp(13, 0.3, 14), "ceil", -2, (-1, -1, -1, -1, 2, 2, -1, -1, -1, 2, 1, -1, -1)),
+    (gnp(13, 0.8, 15), "floor", -1, (-1, -1, -1, -1, -1, -1, -1, 1, 1, 2, -1, 2, 1)),
+    (wheel(13), "floor", -6, (2, -1, -1, -1, -1, -1, -1, -1, -1, 1, -1, -1, 1)),
+    (random_tree(14, 42), "ceil", 1, (-1, 2, -1, -1, 2, 1, -1, 1, -1, 1, -1, 2, -1, -1)),
+    (gnp(14, 0.3, 15), "floor", -2, (-1, -1, -1, 2, 2, -1, -1, -1, -1, -1, 2, 2, -1, -1)),
+    (gnp(14, 0.8, 16), "ceil", -1, (1, -1, -1, 1, -1, 2, -1, -1, -1, 2, -1, -1, -1, 2)),
+    (wheel(14), "floor", -5, (2, -1, -1, -1, -1, -1, -1, -1, -1, 1, -1, -1, 1, 1)),
+    (random_tree(15, 45), "floor", -1,
+     (-1, 2, -1, -1, 2, -1, 2, -1, -1, -1, -1, 2, -1, 1, -1)),
+    (gnp(15, 0.3, 16), "ceil", -3,
+     (-1, -1, -1, -1, -1, -1, -1, -1, 2, -1, 2, -1, 2, -1, 2)),
+    (gnp(15, 0.8, 17), "floor", -2,
+     (-1, -1, -1, -1, 1, -1, -1, -1, 1, -1, 2, 2, -1, -1, 2)),
+    (wheel(15), "ceil", -6, (2, -1, -1, -1, -1, -1, -1, -1, -1, 1, -1, -1, 1, -1, 1)),
+    (random_tree(16, 48), "ceil", 1,
+     (-1, -1, -1, -1, 2, -1, 2, -1, -1, 2, 2, 2, 1, -1, -1, -1)),
+    (gnp(16, 0.3, 17), "floor", -5,
+     (-1, -1, -1, -1, -1, 1, -1, -1, 2, 2, 2, -1, -1, -1, -1, -1)),
+    (gnp(16, 0.8, 18), "ceil", -1,
+     (-1, -1, -1, -1, -1, -1, 1, -1, 2, 2, -1, 1, -1, 1, 2, -1)),
+    (wheel(16), "floor", -7,
+     (2, -1, -1, -1, -1, -1, -1, -1, -1, -1, 1, -1, -1, 1, -1, 1)),
+    (disjoint_union(star(7), cycle(4)), "ceil", -3,
+     (2, -1, -1, -1, -1, -1, -1, -1, 1, -1, 2)),
+    (disjoint_union(star(11), cycle(4)), "floor", -7,
+     (2, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 1, -1, 2)),
+    (Graph(10, []), "floor", 10, (1, 1, 1, 1, 1, 1, 1, 1, 1, 1)),
+    (Graph(16, []), "ceil", 16, (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1)),
 ]
 
 
@@ -185,6 +229,27 @@ class TestBlockEnumeration:
     def test_frozen_witnesses(self, g, mode, value, labels):
         res = brute_force(g, SolveOptions(threshold_mode=mode))
         assert (res.optimum, res.witness) == (value, labels)
+
+    @pytest.mark.parametrize(
+        "g,mode", [(random_tree(10, 30), "ceil"), (wheel(10), "floor")]
+    )
+    def test_one_high_vertex_matches_pure_python_reference(self, g, mode):
+        # n = 10 sweeps a high prefix of one vertex over the low block
+        res = brute_force(g, SolveOptions(threshold_mode=mode))
+        assert (res.optimum, res.witness) == enumerate_optimum(g, mode)
+
+    def test_sweep_leaves_no_reference_cycles(self):
+        # arrays caught in a cycle outlive the call until the cyclic
+        # collector runs, and every pass of a long run would hold them
+        g = random_tree(13, 7)
+        brute_force(g)
+        gc.collect()
+        gc.disable()
+        try:
+            brute_force(g)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestBranchAndBound:
