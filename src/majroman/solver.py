@@ -340,19 +340,24 @@ class _Search:
         at least the minimum over a of max(3a - k, k + a - 2P - 2D(a)),
         and the subtree is cut when that cannot beat the incumbent.
         The bound is never below -k, so (d) implies (a) and the search
-        tests (d) alone.
+        tests (d) alone. D(a) is read as the degrees of the next a
+        vertices of ``order``, so ``order`` must be by descending degree;
+        the constructor raises ``SolverError`` otherwise.
 
     Rules (b) and (c) are tested before a child is applied: one
     read-only pass over N[u] counts the closed neighbours each of the -1
     and +1 children would kill and finds the guards they would break, so a
     dead child is counted as a node but never applied. The 2 child breaks
-    no guard and kills no vertex. Rule (d) is tested on entry to a node.
+    no guard, kills no vertex and shifts nothing: its step x - 2 is 0, so
+    it recurses with the potentials as they are. Rule (d) is tested on
+    entry to a node.
 
     The labelling is passed down ``dfs`` as three bitmasks that only grow
     along a branch, so nothing in them is undone: ``minus`` and ``twos``
     (the vertices assigned -1 and 2; the rest of ``order[:depth]`` are +1)
     and ``cover`` (the vertices with an assigned 2-neighbour). The
-    potentials and ``dead_count`` are the only state a child undoes.
+    potentials and ``dead_count`` are the only state a -1 or +1 child
+    shifts and undoes.
 
     Every rule only cuts subtrees with no valid leaf lighter than the
     incumbent, so the incumbent sequence, and with it the witness, is the
@@ -376,10 +381,14 @@ class _Search:
             self.unassigned[d] = self.unassigned[d + 1] | 1 << order[d]
         # rule (c): closed sum + 2 * unassigned closed neighbours
         self.potential = [2 * len(g.adj[v]) + 2 for v in range(n)]
+        # rule (d) reads D(a) as the degrees of the next a vertices of order
+        degrees = [len(g.adj[v]) for v in order]
+        if any(a < b for a, b in zip(degrees, degrees[1:])):
+            raise SolverError("rule (d) needs a branching order by descending degree")
         # slack[i] = i - 2 * (sum of the degrees of order[:i])
         self.slack = [0] * (n + 1)
-        for i, v in enumerate(order):
-            self.slack[i + 1] = self.slack[i] + 1 - 2 * len(g.adj[v])
+        for i, d in enumerate(degrees):
+            self.slack[i + 1] = self.slack[i] + 1 - 2 * d
         # vertices whose potential is below 1
         self.dead_count = 0
         self.nodes = 0
@@ -471,7 +480,10 @@ class _Search:
                 self.truncated = True
                 return
             self.nodes += 1
-            if lives and deaths <= room:
+            if x == 2:
+                # a step of 0 that kills nothing: the state already holds
+                self.dfs(depth + 1, cur_w + 2, child_cover, child_minus, child_twos)
+            elif lives and deaths <= room:
                 self.shift(u, x - 2, deaths)
                 self.dfs(depth + 1, cur_w + x, child_cover, child_minus, child_twos)
                 self.shift(u, 2 - x, -deaths)

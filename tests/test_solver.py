@@ -407,6 +407,19 @@ class TestGuardCapacityBound:
         res = branch_and_bound(g)
         assert (res.optimum, res.witness) == (value, labels)
 
+    def test_order_must_descend_in_degree(self):
+        # D(a) is read as the degrees of the next a vertices of the order;
+        # under this BFS order the search would return 2, flagged proven,
+        # where the optimum is 0
+        g = random_tree(20, 1)
+        start = max(range(g.n), key=lambda v: (len(g.adj[v]), -v))
+        order = [start]
+        for v in order:
+            order += sorted(g.adj[v] - set(order), key=lambda w: (-len(g.adj[w]), w))
+        assert sorted(order) == list(range(g.n))
+        with pytest.raises(SolverError, match="descending degree"):
+            solver._Search(g, order, 2 * g.n, (2,) * g.n, 10, None)
+
 
 # recorded before rules (b) and (c) were decided ahead of each child: the
 # search must cut, count and return exactly as it did
@@ -425,6 +438,19 @@ SMALL_PINS = {
         "505d087e56029f16b4330eaedf0f7fe7c081e1c0ec423453837dab9e541a5a0c",
     ),
 }
+
+# the instances of the bb_reach benchmark that no other pin covers: its six
+# seed-1 trees and C_16, solved unseeded by solve(method="auto") under its
+# node limit; with C_18, C_20 and G(40, 0.2) they explore 423,105 nodes
+BB_REACH_PINS = [
+    (random_tree(13, 577090037), 6768, 2, "+----+2+22---"),
+    (random_tree(13, 271041745), 1968, 0, "-2----2+-2--+"),
+    (random_tree(13, 1095513148), 7038, 2, "2-222--2-----"),
+    (random_tree(13, 506456969), 3294, 0, "-22--++-----2"),
+    (random_tree(13, 2127877499), 5433, 1, "-2--2---+22--"),
+    (random_tree(13, 1930549411), 2337, 1, "--+2-2-2----2"),
+    (cycle(16), 7743, 4, "--2--2-++-2-++-2"),
+]
 
 
 class TestSearchKernelPins:
@@ -446,6 +472,13 @@ class TestSearchKernelPins:
             repr([r.witness for r in results]).encode()
         ).hexdigest()
         assert (sum(r.nodes_explored for r in results), digest) == SMALL_PINS[mode]
+
+    @pytest.mark.parametrize("g,nodes,value,labels", BB_REACH_PINS)
+    def test_bb_reach_instances(self, g, nodes, value, labels):
+        res = solve(g, SolveOptions(method="auto", node_limit=300_000))
+        assert res.method == "branch_and_bound" and res.proven
+        assert (res.nodes_explored, res.optimum) == (nodes, value)
+        assert res.witness == tuple({"-": -1, "+": 1, "2": 2}[c] for c in labels)
 
 
 # a tree, a wheel, G(n, p) with and without a node limit, an edgeless graph
