@@ -27,7 +27,7 @@ from .formulas import (
     outside_domain,
 )
 from .graph import Graph, GraphSpec, corona, generate
-from .solver import SolveOptions, solve
+from .solver import CapExceededError, SolveOptions, solve
 from .trees import is_tree
 
 
@@ -336,8 +336,8 @@ def cert_tree_support_leaf(
     the stripped tree (standing in for the induction hypothesis) by
     f(v) = 2 and -1 on the stripped leaves. Validity of the extension is
     not re-proved here; downstream validation decides it per instance.
-    The stripped tree is solved under the threshold mode and node limit
-    of ``options``; a truncated solve is reported as a defect.
+    The stripped tree is solved under the threshold mode, method and node
+    limit of ``options``; a truncated solve is reported as a defect.
     """
     opts = options or SolveOptions()
     if not is_tree(t):
@@ -362,16 +362,21 @@ def cert_tree_support_leaf(
             len(kept),
             [(index[a], index[b]) for a, b in t.edges() if a in index and b in index],
         )
-        # the method stays "auto": the extension starts from whichever
-        # optimal witness the solve returns, and forcing branch and bound
-        # changed the validity or weight of 121 of 1200 certificates (600
-        # random trees with n = 4..13, in both threshold modes)
-        inner = solve(
-            sub,
-            SolveOptions(
-                threshold_mode=opts.threshold_mode, node_limit=opts.node_limit
-            ),
+        # the extension starts from whichever optimal witness the solve
+        # returns, so the route matters: forcing branch and bound changed
+        # the validity or weight of 121 of 1200 certificates (600 random
+        # trees with n = 4..13, in both threshold modes). The stripped tree
+        # takes the caller's method, "auto" unless one is given; a method
+        # whose cap it exceeds leaves the choice to "auto".
+        inner_opts = SolveOptions(
+            method=opts.method,
+            threshold_mode=opts.threshold_mode,
+            node_limit=opts.node_limit,
         )
+        try:
+            inner = solve(sub, inner_opts)
+        except CapExceededError:
+            inner = solve(sub, replace(inner_opts, method="auto"))
         if not inner.proven:
             defects = (
                 f"stripped tree unproven: node limit {opts.node_limit} reached",

@@ -23,6 +23,7 @@ from .graph import (
 )
 from .labeling import serialize_labeling, validate
 from .solver import (
+    METHODS,
     SolveOptions,
     SolverError,
     delta_lower_bound,
@@ -115,9 +116,8 @@ def _mode(args) -> str:
 
 
 def _solve_options(args) -> SolveOptions:
-    if args.method == "brute":
-        # brute force has no node limit
-        _reject_given(args, f"{args.command} --method brute", ("node_limit",))
+    if args.method in METHODS and not METHODS[args.method].node_limit:
+        _reject_given(args, f"{args.command} --method {args.method}", ("node_limit",))
     node_limit = args.node_limit
     if node_limit is not None and node_limit < 1:
         raise CliError("--node-limit must be >= 1")
@@ -347,7 +347,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("solve", help="compute the exact optimum")
     _add_family_args(p)
     p.add_argument("--file", help="edge-list file")
-    p.add_argument("--method", choices=["auto", "brute", "bb"])
+    p.add_argument("--method", choices=["auto", *METHODS])
     _add_node_limit_arg(p)
     p.set_defaults(func=cmd_solve)
 
@@ -371,7 +371,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     # no default: None reads as auto, so that a theorem whose check
     # solves nothing can reject a given --method
-    p.add_argument("--method", choices=["auto", "brute", "bb"])
+    p.add_argument("--method", choices=["auto", *METHODS])
     p.add_argument("--csv", help="write CSV to this path")
     p.add_argument("--json", help="write JSON lines to this path")
     p.add_argument("--strict", action="store_true", help="exit 2 on MISMATCH/CERT_INVALID")

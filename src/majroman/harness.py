@@ -44,6 +44,7 @@ from .solver import (
     brute_force,
     choose_method,
     delta_lower_bound,
+    tree_dp,
 )
 from .trees import find_gamma_set_independent_complement, tree_profile
 
@@ -76,8 +77,11 @@ class TheoremReport:
 def _exact(g: Graph, opts: SolveOptions, seed_labeling=None) -> Optional[int]:
     """The proven optimum, or None beyond the size cap or the node limit."""
     try:
-        if choose_method(g, opts) == "brute":
+        method = choose_method(g, opts)
+        if method == "brute":
             res = brute_force(g, opts)
+        elif method == "dp":
+            res = tree_dp(g, opts)
         else:
             seed = seed_labeling or opts.seed_labeling
             res = branch_and_bound(g, replace(opts, seed_labeling=seed))

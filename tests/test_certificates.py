@@ -386,9 +386,11 @@ class TestTreeSupportLeafCert:
 
     def test_node_limit_reaches_inner_solve(self):
         # a truncated solve of the stripped tree is named as a defect; its
-        # best labeling is still extended and validated downstream
+        # best labeling is still extended and validated downstream. auto
+        # would solve this stripped tree by the tree DP, which ignores the
+        # node limit, so branch and bound is asked for
         t = random_tree(30, 0)
-        cert = cert_tree_support_leaf(t, SolveOptions(node_limit=500))
+        cert = cert_tree_support_leaf(t, SolveOptions(method="bb", node_limit=500))
         assert cert.defects == ("stripped tree unproven: node limit 500 reached",)
         assert validate(t, cert.labeling).is_valid
         assert cert_tree_support_leaf(random_tree(10, 42)).defects == ()

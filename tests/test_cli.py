@@ -81,6 +81,31 @@ class TestSolve:
         assert code == 1 and "error: --node-limit must be >= 1" in err
         assert "RESULT" not in out
 
+    def test_path_200_by_tree_dp(self, capsys):
+        code, out, _ = run(capsys, "solve", "--family", "path", "--n", "200")
+        assert code == 0
+        assert "optimum:  50" in out
+        assert out.strip().splitlines()[-1].endswith("method=tree_dp proven=True")
+
+    def test_tree_dp_needs_at_most_one_cycle(self, capsys):
+        code, out, err = run(
+            capsys, "solve", "--family", "wheel", "--n", "8", "--method", "dp"
+        )
+        assert code == 1
+        assert err == (
+            "error: tree_dp needs a connected graph with m <= n; "
+            "this one has n=8, m=14\n"
+        )
+        assert "RESULT" not in out
+
+    def test_tree_dp_above_cap(self, capsys):
+        code, out, err = run(
+            capsys, "solve", "--family", "path", "--n", "501", "--method", "dp"
+        )
+        assert code == 1
+        assert "error: n=501 exceeds tree-DP cap 500" in err
+        assert "RESULT" not in out
+
     def test_brute_force_above_cap(self, capsys):
         code, out, err = run(
             capsys, "solve", "--family", "wheel", "--n", "20", "--method", "brute"
@@ -366,13 +391,21 @@ class TestCheck:
         assert code == 0
         assert out.splitlines()[-1] == "RESULT theorem=subadditivity rows=0"
 
+    def test_star_by_tree_dp(self, capsys):
+        code, out, _ = run(
+            capsys, "check", "--theorem", "star", "--range", "13..14",
+            "--method", "dp", "--strict",
+        )
+        assert code == 0
+        assert out.splitlines()[-1] == "RESULT theorem=star rows=2 match=2"
+
     def test_tree_bounds_beyond_brute_range_under_node_limit(self, capsys):
-        # trees of any order run: the row solve and the certificate's
-        # inner solve both stop at the node limit
+        # trees of any order run under branch and bound: the row solve and
+        # the certificate's inner solve both stop at the node limit
         start = time.perf_counter()
         code, out, _ = run(
             capsys, "check", "--theorem", "tree_bounds", "--range", "30..30",
-            "--count", "2", "--node-limit", "20000",
+            "--count", "2", "--method", "bb", "--node-limit", "20000",
         )
         assert time.perf_counter() - start < 5.0
         assert code == 0
@@ -518,6 +551,14 @@ class TestGlobalFlags:
             (
                 "check --theorem wheel --range 4..5 --method brute --node-limit 5",
                 "check --method brute takes no --node-limit",
+            ),
+            (
+                "solve --family path --n 3 --method dp --node-limit 5",
+                "solve --method dp takes no --node-limit",
+            ),
+            (
+                "check --theorem star --range 4..5 --method dp --node-limit 5",
+                "check --method dp takes no --node-limit",
             ),
         ],
     )

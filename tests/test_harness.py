@@ -167,7 +167,10 @@ class TestTreeBounds:
             GraphSpec("random_tree", n=5, seed=1),
             GraphSpec("random_tree", n=25, seed=1),
         ]
-        report = check("tree_bounds", specs, SolveOptions(node_limit=2000))
+        # auto would prove the large tree by the tree DP, which ignores the
+        # node limit
+        opts = SolveOptions(method="bb", node_limit=2000)
+        report = check("tree_bounds", specs, opts)
         rows = {r.spec: r for r in report.rows}
         assert rows["T_n5_s1/support_leaf"].optimum is not None
         large = rows["T_n25_s1/support_leaf"]
@@ -176,11 +179,20 @@ class TestTreeBounds:
             "stripped tree unproven: node limit 2000 reached",
         )
 
+    def test_large_tree_proven_by_tree_dp(self):
+        # auto sends both the tree and its stripped tree to the tree DP,
+        # which ignores the node limit
+        spec = GraphSpec("random_tree", n=25, seed=1)
+        report = check("tree_bounds", [spec], SolveOptions(node_limit=2000))
+        assert all(r.optimum is not None for r in report.rows)
+        assert all(r.cert_defects == () for r in report.rows)
+
     def test_truncated_inner_solve_is_not_cert_invalid(self):
         # under this limit the stripped tree's best labeling extends to an
         # invalid labeling; that is no finding against the construction
         spec = GraphSpec("random_tree", n=17, seed=3)
-        row = check("tree_bounds", [spec], SolveOptions(node_limit=3000)).rows[0]
+        opts = SolveOptions(method="bb", node_limit=3000)
+        row = check("tree_bounds", [spec], opts).rows[0]
         assert row.cert_valid is False and row.cert_defects
         assert row.verdict == "UNPROVEN"
 
@@ -226,20 +238,21 @@ class TestSubadditivity:
         assert subadditivity_pairs(10, 5) == subadditivity_pairs(10, 5)
 
     def test_unproven_operand_gives_unproven_row(self):
-        # auto solves n <= 12 by brute force and C_13 by branch and bound,
-        # which stops at five nodes; W_8 is proven at -1
+        # auto solves n <= 12 by brute force and K_13, which has more
+        # edges than vertices, by branch and bound, which stops at five
+        # nodes; W_8 is proven at -1
         pairs = [
-            (GraphSpec("path", n=3), GraphSpec("cycle", n=13)),
-            (GraphSpec("cycle", n=13), GraphSpec("path", n=3)),
-            (GraphSpec("wheel", n=8), GraphSpec("cycle", n=13)),
+            (GraphSpec("path", n=3), GraphSpec("complete", n=13)),
+            (GraphSpec("complete", n=13), GraphSpec("path", n=3)),
+            (GraphSpec("wheel", n=8), GraphSpec("complete", n=13)),
             (GraphSpec("path", n=2), GraphSpec("complete", n=1)),
         ]
         report = check("subadditivity", pairs, SolveOptions(node_limit=5))
         # an unproven operand gives no bound; a negative one fails the
         # hypothesis whatever the other operand is
         assert [(r.spec, r.predicted, r.optimum, r.verdict) for r in report.rows] == [
-            ("P_3vC_13", None, None, "UNPROVEN"),
-            ("C_13vP_3", None, None, "UNPROVEN"),
+            ("P_3vK_13", None, None, "UNPROVEN"),
+            ("K_13vP_3", None, None, "UNPROVEN"),
             ("P_2vK_1", 2, 2, "BOUND_TIGHT"),
         ]
 

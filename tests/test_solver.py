@@ -35,6 +35,7 @@ from majroman.solver import (
     delta_lower_bound,
     majority_lower_bound,
     solve,
+    tree_dp,
 )
 from majroman.certificates import CERTIFICATES, cert_star, cert_wheel_fan
 
@@ -440,17 +441,22 @@ SMALL_PINS = {
 }
 
 # the instances of the bb_reach benchmark that no other pin covers: its six
-# seed-1 trees and C_16, solved unseeded by solve(method="auto") under its
-# node limit; with C_18, C_20 and G(40, 0.2) they explore 423,105 nodes
+# seed-1 trees and C_16, solved unseeded by branch and bound under its node
+# limit (with C_18, C_20 and G(40, 0.2) they explore 423,105 nodes), then
+# the branch-and-bound witness, and the tree DP's witness and fold states
 BB_REACH_PINS = [
-    (random_tree(13, 577090037), 6768, 2, "+----+2+22---"),
-    (random_tree(13, 271041745), 1968, 0, "-2----2+-2--+"),
-    (random_tree(13, 1095513148), 7038, 2, "2-222--2-----"),
-    (random_tree(13, 506456969), 3294, 0, "-22--++-----2"),
-    (random_tree(13, 2127877499), 5433, 1, "-2--2---+22--"),
-    (random_tree(13, 1930549411), 2337, 1, "--+2-2-2----2"),
-    (cycle(16), 7743, 4, "--2--2-++-2-++-2"),
+    (random_tree(13, 577090037), 6768, 2, "+----+2+22---", "-2-22----2--2", 2076),
+    (random_tree(13, 271041745), 1968, 0, "-2----2+-2--+", "-2----2+-2--+", 2129),
+    (random_tree(13, 1095513148), 7038, 2, "2-222--2-----", "22222--------", 2051),
+    (random_tree(13, 506456969), 3294, 0, "-22--++-----2", "-22--++-----2", 2656),
+    (random_tree(13, 2127877499), 5433, 1, "-2--2---+22--", "-2--2---22+--", 2284),
+    (random_tree(13, 1930549411), 2337, 1, "--+2-2-2----2", "-+---2-2---22", 2047),
+    (cycle(16), 7743, 4, "--2--2-++-2-++-2", "--2-++-2--2-++-2", 18712),
 ]
+
+
+def _labels(text):
+    return tuple({"-": -1, "+": 1, "2": 2}[c] for c in text)
 
 
 class TestSearchKernelPins:
@@ -473,12 +479,23 @@ class TestSearchKernelPins:
         ).hexdigest()
         assert (sum(r.nodes_explored for r in results), digest) == SMALL_PINS[mode]
 
-    @pytest.mark.parametrize("g,nodes,value,labels", BB_REACH_PINS)
-    def test_bb_reach_instances(self, g, nodes, value, labels):
-        res = solve(g, SolveOptions(method="auto", node_limit=300_000))
-        assert res.method == "branch_and_bound" and res.proven
+    @pytest.mark.parametrize(
+        "g,nodes,value,labels,dp_labels,cells",
+        BB_REACH_PINS,
+        ids=[f"g{i}-{p[1]}-{p[2]}-{p[3]}" for i, p in enumerate(BB_REACH_PINS)],
+    )
+    def test_bb_reach_instances(self, g, nodes, value, labels, dp_labels, cells):
+        # auto sends these to the tree DP; the search pins stay on
+        # branch and bound
+        res = branch_and_bound(g, SolveOptions(node_limit=300_000))
+        assert res.proven
         assert (res.nodes_explored, res.optimum) == (nodes, value)
-        assert res.witness == tuple({"-": -1, "+": 1, "2": 2}[c] for c in labels)
+        assert res.witness == _labels(labels)
+        dp = solve(g, SolveOptions(method="auto", node_limit=300_000))
+        assert (dp.method, dp.proven, dp.optimum) == ("tree_dp", True, value)
+        assert (dp.witness, dp.nodes_explored) == (_labels(dp_labels), cells)
+        report = validate(g, dp.witness)
+        assert report.is_valid and report.weight == value
 
 
 # a tree, a wheel, G(n, p) with and without a node limit, an edgeless graph
@@ -602,7 +619,9 @@ class TestMajorityLowerBound:
 class TestDispatchAndBounds:
     def test_auto_dispatch(self):
         assert solve(path(5)).method == "brute_force"
-        assert solve(star(14)).method == "branch_and_bound"
+        assert solve(star(14)).method == "tree_dp"
+        # n = 14 and m = 26 > n: no tree DP
+        assert solve(wheel(14)).method == "branch_and_bound"
         with pytest.raises(SolverError):
             solve(path(3), SolveOptions(method="simplex"))
 
@@ -637,3 +656,123 @@ class TestDispatchAndBounds:
             assert validate(cert.graph, cert.labeling).weight == solve(
                 cert.graph
             ).optimum
+
+
+def _plus_edge(g: Graph, rng: random.Random) -> Graph:
+    """g with one more edge, between two random non-adjacent vertices."""
+    while True:
+        u, v = rng.sample(range(g.n), 2)
+        if v not in g.adj[u]:
+            return Graph(g.n, [*g.edges(), (u, v)])
+
+
+def _cycle_with_trees(n: int, seed: int) -> Graph:
+    """C_{n // 2} with the other vertices hung on it as a random forest."""
+    rng = random.Random(seed)
+    c = n // 2
+    edges = [(v, (v + 1) % c) for v in range(c)]
+    return Graph(n, edges + [(v, rng.randrange(v)) for v in range(c, n)])
+
+
+def _check_dp(g, mode="ceil"):
+    """The tree DP's result on g, its witness validated at its optimum."""
+    res = tree_dp(g, SolveOptions(threshold_mode=mode))
+    assert res.method == "tree_dp" and res.proven
+    report = validate(g, res.witness, mode)
+    assert report.is_valid and report.weight == res.optimum
+    return res
+
+
+class TestTreeDP:
+    def test_matches_brute_force(self):
+        # 1000 seeded graphs with n = 1..12: random trees, and from n = 3
+        # on every other one a tree plus one edge, in both modes
+        rng = random.Random(20261020)
+        for i in range(1000):
+            n = 1 + i % 12
+            g = random_tree(n, rng.randrange(2**31))
+            if i % 2 and n >= 3:
+                g = _plus_edge(g, rng)
+            for mode in ("ceil", "floor"):
+                optimum = brute_force(g, SolveOptions(threshold_mode=mode)).optimum
+                assert _check_dp(g, mode).optimum == optimum, (g.n, list(g.edges()))
+
+    @pytest.mark.parametrize("n", range(13, 21))
+    @pytest.mark.parametrize("family", ["path", "cycle", "tree", "cycle_with_trees"])
+    def test_matches_branch_and_bound(self, family, n):
+        g = {
+            "path": path,
+            "cycle": cycle,
+            "tree": lambda n: random_tree(n, n),
+            "cycle_with_trees": lambda n: _cycle_with_trees(n, n),
+        }[family](n)
+        assert _check_dp(g).optimum == branch_and_bound(g).optimum
+
+    @pytest.mark.parametrize(
+        "g,value",
+        [
+            (path(28), 7),
+            (cycle(24), 6),
+            (random_tree(30, 1), -1),
+            (path(200), 50),
+            (cycle(200), 50),
+            (cycle(400), 100),
+        ],
+        ids=["P_28", "C_24", "T_n30_s1", "P_200", "C_200", "C_400"],
+    )
+    def test_values_past_branch_and_bound(self, g, value):
+        # branch and bound leaves P_28 and random_tree(30, 1) unproven at
+        # 3M nodes
+        assert _check_dp(g).optimum == value
+
+    def test_at_cap(self):
+        g = path(solver.TREE_DP_CAP)
+        assert solver.choose_method(g, SolveOptions()) == "dp"
+        # floor(n / 4) + [n = 2 mod 4] on paths
+        assert _check_dp(g).optimum == solver.TREE_DP_CAP // 4
+
+    def test_above_cap(self):
+        g = path(solver.TREE_DP_CAP + 1)
+        with pytest.raises(
+            CapExceededError, match=f"exceeds tree-DP cap {solver.TREE_DP_CAP}"
+        ):
+            tree_dp(g)
+        # auto keeps branch and bound
+        assert solver.choose_method(g, SolveOptions()) == "bb"
+
+    @pytest.mark.parametrize(
+        "g,reason",
+        [
+            (wheel(6), "n=6, m=10$"),
+            (Graph(4, [(0, 1), (2, 3)]), "n=4, m=2 and is not connected$"),
+            (Graph(2, []), "n=2, m=0 and is not connected$"),
+        ],
+    )
+    def test_other_shapes_rejected(self, g, reason):
+        assert solver.choose_method(g, SolveOptions(method="auto")) != "dp"
+        with pytest.raises(SolverError, match="needs a connected graph with m <= n"):
+            tree_dp(g)
+        with pytest.raises(SolverError, match=reason):
+            solve(g, SolveOptions(method="dp"))
+
+    def test_empty_graph(self):
+        res = tree_dp(Graph(0, []))
+        assert (res.optimum, res.witness, res.proven) == (0, (), True)
+
+    def test_ignores_node_limit_and_is_reproducible(self):
+        g = _cycle_with_trees(40, 7)
+        first = tree_dp(g, SolveOptions(node_limit=1))
+        second = tree_dp(g)
+        assert first.proven
+        assert (first.optimum, first.witness, first.nodes_explored) == (
+            second.optimum,
+            second.witness,
+            second.nodes_explored,
+        )
+
+    def test_method_table(self):
+        assert set(solver.METHODS) == {"brute", "bb", "dp"}
+        assert [m.node_limit for m in solver.METHODS.values()] == [False, True, False]
+        names = {"brute": "brute_force", "bb": "branch_and_bound", "dp": "tree_dp"}
+        for key in solver.METHODS:
+            assert solve(star(14), SolveOptions(method=key)).method == names[key]
