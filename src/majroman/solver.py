@@ -55,6 +55,10 @@ class CapExceededError(SolverError):
     """Instance too large for exhaustive enumeration."""
 
 
+class OptionsError(SolverError, ValueError):
+    """A ``SolveOptions`` field out of range, raised at construction."""
+
+
 @dataclass
 class SolveOptions:
     method: str = "auto"  # "auto" or a key of METHODS
@@ -66,8 +70,14 @@ class SolveOptions:
     brute_cap: int = 16
 
     def __post_init__(self):
+        if self.method != "auto" and self.method not in METHODS:
+            raise OptionsError(f"unknown method {self.method!r}")
         if self.thread_count < 1:
-            raise ValueError("thread_count must be >= 1")
+            raise OptionsError("thread_count must be >= 1")
+        if self.node_limit is not None and self.node_limit < 1:
+            raise OptionsError("node_limit must be >= 1")
+        if self.threshold_mode not in ("ceil", "floor"):
+            raise OptionsError(f"unknown threshold mode {self.threshold_mode!r}")
 
 
 @dataclass(slots=True)
@@ -352,11 +362,14 @@ class _Search:
 
     Rules (b) and (c) are tested before a child is applied: one
     read-only pass over N[u] counts the closed neighbours each of the -1
-    and +1 children would kill and finds the guards they would break, so a
-    dead child is counted as a node but never applied. The 2 child breaks
-    no guard, kills no vertex and shifts nothing: its step x - 2 is 0, so
-    it recurses with the potentials as they are. Rule (d) is tested on
-    entry to a node.
+    and +1 children would kill and finds the guards they would break. The
+    children are then three straight-line steps in value order -1, +1, 2,
+    each testing the node limit and counting itself as a node first. A
+    dead -1 or +1 child is counted but never applied; a live one shifts
+    N[u] by x - 2, recurses and shifts back. The 2 child breaks no guard,
+    kills no vertex and shifts nothing: its step x - 2 is 0, so it
+    recurses with the potentials as they are. Rule (d) is tested on entry
+    to a node.
 
     The labelling is passed down ``dfs`` as three bitmasks that only grow
     along a branch, so nothing in them is undone: ``minus`` and ``twos``
@@ -475,24 +488,30 @@ class _Search:
                 if potential[v] < 2:
                     plus_deaths += 1
         room = self.allowed_unsat - self.dead_count
-        children = (
-            (-1, minus_deaths, minus_lives, cover, minus | bit, twos),
-            (1, plus_deaths, plus_lives, cover, minus, twos),
-            (2, 0, True, cover | open_mask[u], minus, twos | bit),
-        )
-        for x, deaths, lives, child_cover, child_minus, child_twos in children:
-            # also ends this loop once a child's subtree used up the limit
-            if self.nodes >= self.node_limit:
-                self.truncated = True
-                return
-            self.nodes += 1
-            if x == 2:
-                # a step of 0 that kills nothing: the state already holds
-                self.dfs(depth + 1, cur_w + 2, child_cover, child_minus, child_twos)
-            elif lives and deaths <= room:
-                self.shift(u, x - 2, deaths)
-                self.dfs(depth + 1, cur_w + x, child_cover, child_minus, child_twos)
-                self.shift(u, 2 - x, -deaths)
+        # the three children in value order; each limit test also ends the
+        # node once an earlier child's subtree used up the limit
+        if self.nodes >= self.node_limit:
+            self.truncated = True
+            return
+        self.nodes += 1
+        if minus_lives and minus_deaths <= room:
+            self.shift(u, -3, minus_deaths)
+            self.dfs(depth + 1, cur_w - 1, cover, minus | bit, twos)
+            self.shift(u, 3, -minus_deaths)
+        if self.nodes >= self.node_limit:
+            self.truncated = True
+            return
+        self.nodes += 1
+        if plus_lives and plus_deaths <= room:
+            self.shift(u, -1, plus_deaths)
+            self.dfs(depth + 1, cur_w + 1, cover, minus, twos)
+            self.shift(u, 1, -plus_deaths)
+        if self.nodes >= self.node_limit:
+            self.truncated = True
+            return
+        self.nodes += 1
+        # a step of 0 that kills nothing: the state already holds
+        self.dfs(depth + 1, cur_w + 2, cover | open_mask[u], minus, twos | bit)
 
 
 def branch_and_bound(
@@ -1022,14 +1041,12 @@ def choose_method(g: Graph, opts: SolveOptions) -> str:
     """The key of ``METHODS`` that ``solve`` runs. "auto" picks brute
     force when n is at most 12 and within ``brute_cap``, then the tree DP
     on a connected graph with m <= n within its cap, and branch and bound
-    otherwise."""
+    otherwise. ``SolveOptions`` rejects any other method."""
     if opts.method == "auto":
         if g.n <= 12 and METHODS["brute"].fits(g, opts):
             return "brute"
         return "dp" if METHODS["dp"].fits(g, opts) else "bb"
-    if opts.method in METHODS:
-        return opts.method
-    raise SolverError(f"unknown method {opts.method!r}")
+    return opts.method
 
 
 def solve(g: Graph, options: Optional[SolveOptions] = None) -> OptResult:

@@ -347,6 +347,29 @@ class TestBranchAndBound:
         with pytest.raises(ValueError):
             SolveOptions(thread_count=0)
 
+    @pytest.mark.parametrize("method", ["xyz", "brute_force", ""])
+    def test_unknown_method_rejected(self, method):
+        with pytest.raises(ValueError, match="unknown method"):
+            SolveOptions(method=method)
+
+    @pytest.mark.parametrize("limit", [0, -3])
+    def test_node_limit_below_one_rejected(self, limit):
+        with pytest.raises(ValueError, match="node_limit must be >= 1"):
+            SolveOptions(node_limit=limit)
+
+    @pytest.mark.parametrize("mode", ["round", "Ceil", ""])
+    def test_unknown_threshold_mode_rejected(self, mode):
+        with pytest.raises(ValueError, match="unknown threshold mode"):
+            SolveOptions(threshold_mode=mode)
+
+    def test_valid_options_construct(self):
+        # the options the benchmark workloads pass, and every method name
+        SolveOptions(method="brute", brute_cap=16, thread_count=2)
+        SolveOptions(method="auto", node_limit=300_000)
+        SolveOptions(node_limit=1, threshold_mode="floor")
+        for method in solver.METHODS:
+            assert SolveOptions(method=method).method == method
+
 
 @st.composite
 def bound_graphs(draw):
@@ -459,11 +482,130 @@ def _labels(text):
     return tuple({"-": -1, "+": 1, "2": 2}[c] for c in text)
 
 
+# node-limit truncation of unseeded branch and bound: per graph and mode,
+# (optimum, witness, nodes, proven) at each of TRUNCATION_LIMITS. The even
+# orders have one threshold in both modes; C_19 has two.
+TRUNCATION_LIMITS = (1, 2, 3, 7, 50, 500, 5000)
+TRUNCATION_GRAPHS = {
+    "W_16": wheel(16),
+    "C_19": cycle(19),
+    "C_20": cycle(20),
+    "gnp_18": gnp(18, 0.3, 4),
+    "gnp_40": gnp(40, 0.2, 1),
+}
+TRUNCATION_PINS = {
+    ("W_16", "ceil"): [
+        (32, "2222222222222222", 1, False),
+        (32, "2222222222222222", 2, False),
+        (32, "2222222222222222", 3, False),
+        (32, "2222222222222222", 7, False),
+        (5, "---2--2--2+-2++2", 50, False),
+        (5, "---2--2--2+-2++2", 500, False),
+        (4, "---2-+-2-+-2-++2", 5000, False),
+    ],
+    ("C_19", "ceil"): [
+        (38, "2222222222222222222", 1, False),
+        (38, "2222222222222222222", 2, False),
+        (38, "2222222222222222222", 3, False),
+        (38, "2222222222222222222", 7, False),
+        (7, "--2--2--2-++-2+-2+2", 50, False),
+        (7, "--2--2--2-++-2+-2+2", 500, False),
+        (6, "--2--2-+-2-++-2-++2", 5000, False),
+    ],
+    ("C_20", "ceil"): [
+        (40, "22222222222222222222", 1, False),
+        (40, "22222222222222222222", 2, False),
+        (40, "22222222222222222222", 3, False),
+        (40, "22222222222222222222", 7, False),
+        (7, "--2--2--2-+-2+-2+-22", 50, False),
+        (6, "--2--2--2-++-2-++-22", 500, False),
+        (5, "--2--2-+-2-++-2-++-2", 5000, False),
+    ],
+    ("gnp_18", "ceil"): [
+        (36, "222222222222222222", 1, False),
+        (36, "222222222222222222", 2, False),
+        (36, "222222222222222222", 3, False),
+        (36, "222222222222222222", 7, False),
+        (5, "-22+-+--+2--2-+-2-", 50, False),
+        (3, "-2-+-+--22--2-2-+-", 500, False),
+        (2, "-2-+-+--2+--2-2--+", 5000, False),
+    ],
+    ("gnp_40", "ceil"): [
+        (80, "2222222222222222222222222222222222222222", 1, False),
+        (80, "2222222222222222222222222222222222222222", 2, False),
+        (80, "2222222222222222222222222222222222222222", 3, False),
+        (80, "2222222222222222222222222222222222222222", 7, False),
+        (80, "2222222222222222222222222222222222222222", 50, False),
+        (9, "--2--2----+22-+-22-222-+----2---2-2+-+2-", 500, False),
+        (7, "--2--2----+22-+-22--22-2----+---2-22-+2-", 5000, False),
+    ],
+    ("W_16", "floor"): [
+        (32, "2222222222222222", 1, False),
+        (32, "2222222222222222", 2, False),
+        (32, "2222222222222222", 3, False),
+        (32, "2222222222222222", 7, False),
+        (5, "---2--2--2+-2++2", 50, False),
+        (5, "---2--2--2+-2++2", 500, False),
+        (4, "---2-+-2-+-2-++2", 5000, False),
+    ],
+    ("C_19", "floor"): [
+        (38, "2222222222222222222", 1, False),
+        (38, "2222222222222222222", 2, False),
+        (38, "2222222222222222222", 3, False),
+        (38, "2222222222222222222", 7, False),
+        (7, "--2--2--2-+-2+-2++2", 50, False),
+        (6, "--2--2--2-++-2-+++2", 500, False),
+        (6, "--2--2--2-++-2-+++2", 5000, False),
+    ],
+    ("C_20", "floor"): [
+        (40, "22222222222222222222", 1, False),
+        (40, "22222222222222222222", 2, False),
+        (40, "22222222222222222222", 3, False),
+        (40, "22222222222222222222", 7, False),
+        (7, "--2--2--2-+-2+-2+-22", 50, False),
+        (6, "--2--2--2-++-2-++-22", 500, False),
+        (5, "--2--2-+-2-++-2-++-2", 5000, False),
+    ],
+    ("gnp_18", "floor"): [
+        (36, "222222222222222222", 1, False),
+        (36, "222222222222222222", 2, False),
+        (36, "222222222222222222", 3, False),
+        (36, "222222222222222222", 7, False),
+        (5, "-22+-+--+2--2-+-2-", 50, False),
+        (3, "-2-+-+--22--2-2-+-", 500, False),
+        (2, "-2-+-+--2+--2-2--+", 5000, False),
+    ],
+    ("gnp_40", "floor"): [
+        (80, "2222222222222222222222222222222222222222", 1, False),
+        (80, "2222222222222222222222222222222222222222", 2, False),
+        (80, "2222222222222222222222222222222222222222", 3, False),
+        (80, "2222222222222222222222222222222222222222", 7, False),
+        (80, "2222222222222222222222222222222222222222", 50, False),
+        (9, "--2--2----+22-+-22-222-+----2---2-2+-+2-", 500, False),
+        (7, "--2--2----+22-+-22--22-2----+---2-22-+2-", 5000, False),
+    ],
+}
+
+
 class TestSearchKernelPins:
     def test_node_limited_gnp40(self):
         res = branch_and_bound(gnp(40, 0.2, 1), SolveOptions(node_limit=300_000))
         assert (res.nodes_explored, res.proven, res.optimum) == (300_000, False, 5)
         assert res.witness == G40_WITNESS
+
+    @pytest.mark.parametrize("mode", ["ceil", "floor"])
+    @pytest.mark.parametrize("name", list(TRUNCATION_GRAPHS))
+    def test_node_limit_truncation(self, name, mode):
+        g = TRUNCATION_GRAPHS[name]
+        got = []
+        for limit in TRUNCATION_LIMITS:
+            opts = SolveOptions(threshold_mode=mode, node_limit=limit)
+            r = branch_and_bound(g, opts)
+            got.append((r.optimum, r.witness, r.nodes_explored, r.proven))
+        assert got == [
+            (value, _labels(labels), nodes, proven)
+            for value, labels, nodes, proven in TRUNCATION_PINS[name, mode]
+        ]
 
     @pytest.mark.parametrize("mode", ["ceil", "floor"])
     def test_small_graphs(self, mode):
