@@ -1,5 +1,6 @@
 """End-to-end CLI behavior through main(argv)."""
 
+import hashlib
 import itertools
 import os
 import subprocess
@@ -13,7 +14,13 @@ from majroman import harness
 from majroman.certificates import CERTIFICATES
 from majroman.cli import _spec_flags, main
 from majroman.formulas import EXACT_VALUES, exact_value, predict
-from majroman.graph import FAMILIES, GraphError, GraphSpec, generate
+from majroman.graph import (
+    FAMILIES,
+    GraphError,
+    GraphSpec,
+    generate,
+    serialize_edge_list,
+)
 from majroman.labeling import validate
 
 
@@ -428,6 +435,50 @@ class TestCheck:
             f"RESULT theorem={theorem} rows={matches} match={matches}"
         )
 
+    def test_lemma_default_run_pinned(self, capsys, tmp_path):
+        csv = tmp_path / "lemma.csv"
+        code, out, err = run(capsys, "check", "--theorem", "lemma", "--csv", str(csv))
+        assert (code, err) == (0, "")
+        assert out == (
+            "spec           predicted  cert_weight  cert_valid  optimum  verdict    \n"
+            "-------------  ---------  -----------  ----------  -------  -----------\n"
+            "n<=500_m<=500  1                                   1        BOUND_HOLDS\n"
+            "RESULT theorem=lemma rows=1 bound_holds=1\n"
+        )
+        assert csv.read_text() == (
+            "spec,predicted,cert_weight,cert_valid,optimum,verdict\n"
+            "n<=500_m<=500,1,,,1,BOUND_HOLDS\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, lines, digest",
+        [
+            (
+                ["tree_bounds"],
+                187,
+                "d3212c32e5687e4b5120e69b25579dfea30d5932164b57f7885148acc885db0c",
+            ),
+            (
+                # holds the CERT_INVALID row T_n19_s19/support_leaf
+                ["tree_bounds", "--range", "14..20", "--count", "50"],
+                163,
+                "54a159af5b5679f3bbd421eb943b412de39e25cd9fda8fbb1399beb89d39794d",
+            ),
+            (
+                ["wheel", "--range", "4..14"],
+                12,
+                "8d01c2ba4e94b7221714e77245b3369da609b956af2dabd578f3200b25e56961",
+            ),
+        ],
+        ids=lambda x: "_".join(x) if isinstance(x, list) else "",
+    )
+    def test_check_csv_pinned(self, capsys, tmp_path, argv, lines, digest):
+        csv = tmp_path / "out.csv"
+        code, _, _ = run(capsys, "check", "--theorem", *argv, "--csv", str(csv))
+        text = csv.read_bytes()
+        assert code == 0
+        assert (text.count(b"\n"), hashlib.sha256(text).hexdigest()) == (lines, digest)
+
 
 class TestBoundsAndLemma:
     def test_bounds_family(self, capsys):
@@ -461,6 +512,46 @@ class TestBoundsAndLemma:
         assert code == 0
         assert "domination upper bound:      inapplicable (gamma != n - beta0)" in out
         assert "domination=None" in out
+
+    @pytest.mark.parametrize(
+        "spec, stdout",
+        [
+            (
+                GraphSpec("path", n=4),
+                "tree: n=4 gamma=2 beta0=2 supports=2 leaves=2\n"
+                "support/leaf upper bound:    2\n"
+                "domination upper bound:      2\n"
+                "independence bounds:         stated=6 proof=2\n"
+                "RESULT n=4 gamma=2 beta0=2 support_leaf=2 domination=2 "
+                "independence_stated=6 independence_proof=2\n",
+            ),
+            (
+                # the domination hypothesis fails: gamma = 2 < n - beta0 = 3
+                GraphSpec("path", n=6),
+                "tree: n=6 gamma=2 beta0=3 supports=2 leaves=2\n"
+                "support/leaf upper bound:    3\n"
+                "domination upper bound:      inapplicable (gamma != n - beta0)\n"
+                "independence bounds:         stated=9 proof=3\n"
+                "RESULT n=6 gamma=2 beta0=3 support_leaf=3 domination=None "
+                "independence_stated=9 independence_proof=3\n",
+            ),
+            (
+                GraphSpec("star", n=5),
+                "tree: n=5 gamma=1 beta0=4 supports=1 leaves=4\n"
+                "support/leaf upper bound:    -2\n"
+                "domination upper bound:      -2\n"
+                "independence bounds:         stated=6 proof=-2\n"
+                "RESULT n=5 gamma=1 beta0=4 support_leaf=-2 domination=-2 "
+                "independence_stated=6 independence_proof=-2\n",
+            ),
+        ],
+        ids=lambda x: x.label() if isinstance(x, GraphSpec) else "",
+    )
+    def test_bounds_tree_stdout_pinned(self, capsys, tmp_path, spec, stdout):
+        path = tmp_path / "tree.el"
+        path.write_text(serialize_edge_list(generate(spec)))
+        code, out, err = run(capsys, "bounds", "--tree", str(path))
+        assert (code, out, err) == (0, stdout, "")
 
     def test_bounds_family_flag_not_a_parameter(self, capsys):
         code, out, err = run(
