@@ -1,8 +1,9 @@
-"""Command-line interface: solve / gen / cert / check / bounds / lemma.
+"""Command-line interface: solve / gen / cert / check / bounds.
 
-Every subcommand ends with a machine-readable ``RESULT key=value ...``
-line for scripting. With ``--strict``, ``check`` exits 2 when any row is
-MISMATCH or CERT_INVALID (for CI). Usage errors exit 1.
+It parses arguments and prints; every audit is a theorem of
+``harness.THEOREMS`` that ``check`` runs. Each subcommand ends with a
+machine-readable ``RESULT key=value ...`` line. With ``--strict``, ``check``
+exits 2 when any row is MISMATCH or CERT_INVALID (for CI). Usage errors exit 1.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .solver import (
     majority_lower_bound,
     solve,
 )
-from .trees import TreeError, find_gamma_set_independent_complement, tree_profile
+from .trees import TreeError
 
 
 class CliError(Exception):
@@ -254,28 +255,19 @@ def cmd_bounds(args) -> int:
             args, "bounds --tree", ("threshold_mode", "family") + _PARAM_FLAGS
         )
         with open(args.tree, encoding="utf-8") as fh:
-            t = parse_edge_list(fh.read())
-        profile = tree_profile(t)
-        sl = formulas.tree_support_leaf_bound(
-            profile.n, profile.supports, profile.leaves
-        )
-        # 3*gamma - n bounds only trees with a minimum dominating set
-        # whose complement is independent
-        dom = None
-        if find_gamma_set_independent_complement(t, profile) is not None:
-            dom = formulas.tree_domination_bound(profile.n, profile.gamma)
-        stated, proof = formulas.tree_independence_bounds(profile.n, profile.beta0)
-        print(
-            f"tree: n={profile.n} gamma={profile.gamma} beta0={profile.beta0} "
-            f"supports={profile.supports} leaves={profile.leaves}"
-        )
-        print(f"support/leaf upper bound:    {sl}")
-        dom_text = "inapplicable (gamma != n - beta0)" if dom is None else dom
-        print(f"domination upper bound:      {dom_text}")
+            b = harness.tree_bounds(parse_edge_list(fh.read()))
+        p = b.profile
+        tree = f"n={p.n} gamma={p.gamma} beta0={p.beta0}"
+        dom = b.domination
+        if dom is None:
+            dom = "inapplicable (gamma != n - beta0)"
+        stated, proof = b.independence_stated, b.independence_proof
+        print(f"tree: {tree} supports={p.supports} leaves={p.leaves}")
+        print(f"support/leaf upper bound:    {b.support_leaf}")
+        print(f"domination upper bound:      {dom}")
         print(f"independence bounds:         stated={stated} proof={proof}")
         print(
-            f"RESULT n={profile.n} gamma={profile.gamma} beta0={profile.beta0} "
-            f"support_leaf={sl} domination={dom} "
+            f"RESULT {tree} support_leaf={b.support_leaf} domination={b.domination} "
             f"independence_stated={stated} independence_proof={proof}"
         )
         return 0
@@ -295,21 +287,6 @@ def cmd_bounds(args) -> int:
         print(f"RESULT family={spec.label()} predictions={len(preds)}")
         return 0
     raise CliError("provide --tree FILE or --family FAMILY")
-
-
-def cmd_lemma(args) -> int:
-    _reject_given(args, "lemma", ("threshold_mode", "seed"))
-    if args.n_max < 1:
-        raise CliError("--n-max must be >= 1")
-    if args.m_max < 3:
-        raise CliError("--m-max must be >= 3")
-    failures = formulas.lemma_failures(args.n_max, args.m_max)
-    if failures:
-        print(f"inequality FAILS at {failures[:10]} (showing up to 10)")
-    else:
-        print(f"inequality holds on {args.n_max}x{args.m_max - 2} grid")
-    print(f"RESULT holds={not failures} checked={args.n_max * (args.m_max - 2)}")
-    return 0 if not failures else 2
 
 
 def _add_family_args(p) -> None:
@@ -382,11 +359,6 @@ def build_parser() -> _Parser:
     p.add_argument("--tree", help="edge-list file containing a tree")
     _add_family_args(p)
     p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("lemma", help="exhaustively check the floor/ceiling lemma")
-    p.add_argument("--n-max", type=int, default=500)
-    p.add_argument("--m-max", type=int, default=500)
-    p.set_defaults(func=cmd_lemma)
     return parser
 
 

@@ -106,15 +106,9 @@ def lemma_inequality_holds(n: int, m: int) -> bool:
     return (n // m) * m + n <= ceil_div(n * m + n, 2)
 
 
-def lemma_failures(n_max: int, m_max: int) -> List[Tuple[int, int]]:
-    """The (n, m) with 1 <= n <= n_max and 3 <= m <= m_max where the
-    lemma inequality fails, in row order."""
-    return [
-        (n, m)
-        for n in range(1, n_max + 1)
-        for m in range(3, m_max + 1)
-        if not lemma_inequality_holds(n, m)
-    ]
+def lemma_failures(ns: range, ms: range) -> List[Tuple[int, int]]:
+    """The (n, m) of ``ns`` x ``ms`` where the lemma inequality fails."""
+    return [(n, m) for n in ns for m in ms if not lemma_inequality_holds(n, m)]
 
 
 # ---------------------------------------------------------------------------

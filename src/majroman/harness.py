@@ -46,7 +46,7 @@ from .solver import (
     delta_lower_bound,
     tree_dp,
 )
-from .trees import find_gamma_set_independent_complement, tree_profile
+from .trees import TreeProfile, find_gamma_set_independent_complement, tree_profile
 
 Number = Union[int, Fraction]
 
@@ -83,8 +83,8 @@ def _exact(g: Graph, opts: SolveOptions, seed_labeling=None) -> Optional[int]:
         elif method == "dp":
             res = tree_dp(g, opts)
         else:
-            seed = seed_labeling or opts.seed_labeling
-            res = branch_and_bound(g, replace(opts, seed_labeling=seed))
+            # a row is seeded by its own certificate only, never by ``opts``
+            res = branch_and_bound(g, replace(opts, seed_labeling=seed_labeling))
     except CapExceededError:
         return None
     return res.optimum if res.proven else None
@@ -182,53 +182,73 @@ def _check_corona_lower(params, opts) -> Iterator[ReportRow]:
         )
 
 
+class TreeBounds(NamedTuple):
+    """A tree's profile and its bounds. ``gamma_set`` is a minimum
+    dominating set with independent complement and ``domination`` is
+    3*gamma - n; both are None where no such set exists."""
+
+    profile: TreeProfile
+    support_leaf: int
+    gamma_set: Optional[frozenset]
+    domination: Optional[int]
+    independence_stated: int
+    independence_proof: int
+
+
+def tree_bounds(t: Graph) -> TreeBounds:
+    """The tree's profile and its bounds, the domination hypothesis decided
+    here once; raises ``TreeError`` if ``t`` is no tree."""
+    p = tree_profile(t)
+    gamma_set = find_gamma_set_independent_complement(t, p)
+    return TreeBounds(
+        p,
+        formulas.tree_support_leaf_bound(p.n, p.supports, p.leaves),
+        gamma_set,
+        None if gamma_set is None else formulas.tree_domination_bound(p.n, p.gamma),
+        *formulas.tree_independence_bounds(p.n, p.beta0),
+    )
+
+
 def _check_tree_bounds(params, opts) -> Iterator[ReportRow]:
     for spec in params:
         t = generate(spec)
-        profile = tree_profile(t)
+        b = tree_bounds(t)
         label = spec.label()
         optimum = _exact(t, opts)
 
         # (a) support/leaf bound via the inductive construction
         cert = certs.cert_tree_support_leaf(t, opts)
         cert_report = validate(t, cert.labeling, opts.threshold_mode)
-        bound = formulas.tree_support_leaf_bound(
-            profile.n, profile.supports, profile.leaves
-        )
         # its only defect is a truncated solve of the stripped tree; the
         # extension of a labeling that is not minimum tests no proof step
+        valid = cert_report.is_valid or bool(cert.defects)
         yield ReportRow(
             spec=f"{label}/support_leaf",
-            predicted=bound,
+            predicted=b.support_leaf,
             optimum=optimum,
-            verdict=_verdict(
-                optimum, bound, "upper", cert_report.is_valid or bool(cert.defects)
-            ),
+            verdict=_verdict(optimum, b.support_leaf, "upper", valid),
             **_cert_fields(cert, cert_report),
         )
 
         # (b) 3*gamma - n, only when the hypothesis holds
-        s = find_gamma_set_independent_complement(t, profile)
-        if s is not None:
-            dom_cert = certs.cert_tree_from_dominating_set(t, s)
+        if b.domination is not None:
+            dom_cert = certs.cert_tree_from_dominating_set(t, b.gamma_set)
             dom_report = validate(t, dom_cert.labeling, opts.threshold_mode)
-            dom_bound = formulas.tree_domination_bound(profile.n, profile.gamma)
             yield ReportRow(
                 spec=f"{label}/domination",
-                predicted=dom_bound,
+                predicted=b.domination,
                 optimum=optimum,
-                verdict=_verdict(optimum, dom_bound, "upper", dom_report.is_valid),
+                verdict=_verdict(optimum, b.domination, "upper", dom_report.is_valid),
                 **_cert_fields(dom_cert, dom_report),
             )
 
         # (c) both candidate independence bounds, recorded side by side
-        stated, proof = formulas.tree_independence_bounds(profile.n, profile.beta0)
-        for tag, bound in (("independence_stated", stated), ("independence_proof", proof)):
+        for tag in ("independence_stated", "independence_proof"):
             yield ReportRow(
                 spec=f"{label}/{tag}",
-                predicted=bound,
+                predicted=getattr(b, tag),
                 optimum=optimum,
-                verdict=_verdict(optimum, bound, "upper"),
+                verdict=_verdict(optimum, getattr(b, tag), "upper"),
             )
 
 
@@ -263,14 +283,16 @@ def _check_subadditivity(params, opts) -> Iterator[ReportRow]:
 
 
 def _check_lemma(params, opts) -> Iterator[ReportRow]:
-    n_max, m_max = params
-    holds = not formulas.lemma_failures(n_max, m_max)
-    yield ReportRow(
-        spec=f"n<={n_max}_m<={m_max}",
-        predicted=1,
-        optimum=1 if holds else 0,
-        verdict="BOUND_HOLDS" if holds else "MISMATCH",
-    )
+    """A MISMATCH row per failing (n, m), else one BOUND_HOLDS row."""
+    ns, ms = params
+    failures = formulas.lemma_failures(ns, ms)
+    for n, m in failures:
+        yield ReportRow(spec=f"n={n}_m={m}", predicted=1, optimum=0, verdict="MISMATCH")
+    if not failures:
+        n_lo = "" if ns[0] == 1 else f"{ns[0]}<="
+        m_lo = "" if ms[0] == 3 else f"{ms[0]}<="
+        spec = f"{n_lo}n<={ns[-1]}_{m_lo}m<={ms[-1]}"
+        yield ReportRow(spec=spec, predicted=1, optimum=1, verdict="BOUND_HOLDS")
 
 
 # ---------------------------------------------------------------------------
@@ -370,13 +392,24 @@ def _tree_instances(
     ]
 
 
+def _lemma_instances(orders: range = range(1, 501)) -> Tuple[range, range]:
+    """The lemma's grid: n over ``orders``, m over its part from 3."""
+    ms = range(max(orders[0], 3), orders[-1] + 1)
+    if orders[0] < 1 or not ms:
+        raise ValueError(
+            f"lemma: range {orders[0]}..{orders[-1]} outside the theorem's "
+            "domain (needs n >= 1 and some m >= 3)"
+        )
+    return orders, ms
+
+
 class Theorem(NamedTuple):
     """A checked theorem: its rows over a parameter iterable, the builder
     of a command-line check's parameters, and the command-line flags the
     check reads. Of these, the builder reads --range, --count and --seed;
     it takes each one given as a keyword, ``orders``, ``count`` or
     ``seed``, and defaults the others. The rows read ``SOLVE_FLAGS``
-    where they solve."""
+    where they solve (the lemma's do not)."""
 
     rows: Callable[[object, SolveOptions], Iterator[ReportRow]]
     instances: Callable[..., object]
@@ -407,7 +440,7 @@ THEOREMS = {
     "subadditivity": Theorem(
         _check_subadditivity, subadditivity_pairs, ("count", "seed", *SOLVE_FLAGS)
     ),
-    "lemma": Theorem(_check_lemma, lambda: (500, 500)),
+    "lemma": Theorem(_check_lemma, _lemma_instances, ("range",)),
 }
 
 

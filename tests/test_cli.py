@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from majroman import harness
+from majroman import formulas, harness
 from majroman.certificates import CERTIFICATES
 from majroman.cli import _spec_flags, main
 from majroman.formulas import EXACT_VALUES, exact_value, predict
@@ -565,20 +565,61 @@ class TestBoundsAndLemma:
         code, _, err = run(capsys, "bounds")
         assert code == 1 and "error:" in err
 
-    def test_lemma_grid(self, capsys):
-        code, out, _ = run(capsys, "lemma", "--n-max", "100", "--m-max", "100")
+    def test_lemma_grid(self, capsys, monkeypatch):
+        # every cell of the 100 x 98 grid, 1 <= n <= 100 and 3 <= m <= 100
+        cells = []
+        holds = formulas.lemma_inequality_holds
+        monkeypatch.setattr(
+            formulas,
+            "lemma_inequality_holds",
+            lambda n, m: cells.append((n, m)) or holds(n, m),
+        )
+        code, out, _ = run(capsys, "check", "--theorem", "lemma", "--range", "1..100")
         assert code == 0
-        assert "inequality holds on 100x98 grid" in out
-        assert "RESULT holds=True checked=9800" in out
+        assert "n<=100_m<=100  1" in out
+        assert out.splitlines()[-1] == "RESULT theorem=lemma rows=1 bound_holds=1"
+        assert cells == list(itertools.product(range(1, 101), range(3, 101)))
 
-    @pytest.mark.parametrize(
-        "flag, value, message",
-        [("--n-max", "0", "--n-max must be >= 1"), ("--m-max", "1", "--m-max must be >= 3")],
-    )
-    def test_lemma_grid_too_small(self, capsys, flag, value, message):
-        code, out, err = run(capsys, "lemma", flag, value)
-        assert code == 1 and f"error: {message}" in err
-        assert "RESULT" not in out
+    @pytest.mark.parametrize("rng", ["0..5", "1..2"])
+    def test_lemma_grid_too_small(self, capsys, rng):
+        code, out, err = run(
+            capsys, "check", "--theorem", "lemma", "--range", rng, "--strict"
+        )
+        assert code == 1
+        assert err == (
+            f"error: lemma: range {rng} outside the theorem's domain "
+            "(needs n >= 1 and some m >= 3)\n"
+        )
+        assert out == ""
+
+    def test_lemma_failure_is_mismatch(self, capsys, monkeypatch):
+        # one MISMATCH row per failing cell, in row order
+        failing = {(7, 3), (2, 4)}
+        holds = formulas.lemma_inequality_holds
+        monkeypatch.setattr(
+            formulas,
+            "lemma_inequality_holds",
+            lambda n, m: (n, m) not in failing and holds(n, m),
+        )
+        code, out, _ = run(capsys, "check", "--theorem", "lemma", "--strict")
+        assert code == 2
+        assert [line.split() for line in out.splitlines()[2:4]] == [
+            ["n=2_m=4", "1", "0", "MISMATCH"],
+            ["n=7_m=3", "1", "0", "MISMATCH"],
+        ]
+        assert out.splitlines()[-1] == "RESULT theorem=lemma rows=2 mismatch=2"
+
+    def test_lemma_subcommand_removed(self, capsys):
+        code, out, err = run(capsys, "lemma", "--n-max", "5")
+        assert code == 1
+        assert err.startswith("usage: majroman")
+        assert "error: argument command: invalid choice: 'lemma'" in err
+        assert out == ""
+
+    def test_help_lists_the_subcommands(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert "{solve,gen,cert,check,bounds}" in capsys.readouterr().out
 
 
 class TestGlobalFlags:
@@ -620,11 +661,6 @@ class TestGlobalFlags:
                 "--threshold-mode floor gen --family path --n 3",
                 "gen takes no --threshold-mode",
             ),
-            (
-                "--threshold-mode floor lemma --n-max 5",
-                "lemma takes no --threshold-mode",
-            ),
-            ("--seed 4 lemma --n-max 5 --m-max 5", "lemma takes no --seed"),
             ("check --theorem lemma --node-limit 5", "lemma takes no --node-limit"),
             ("check --theorem lemma --method bb", "lemma takes no --method"),
             (
@@ -731,7 +767,7 @@ _SMALL_CHECKS = {
     "tree_bounds": ["--range", "4..5", "--count", "2"],
     "delta_bound": ["--count", "2"],
     "subadditivity": ["--count", "2"],
-    "lemma": [],
+    "lemma": ["--range", "1..10"],
 }
 
 

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from majroman import certificates, harness
-from majroman.graph import GraphSpec, star
+from majroman.cli import main
+from majroman.graph import GraphSpec, serialize_edge_list, star
 from majroman.harness import (
     TheoremReport,
     _verdict,
@@ -187,6 +188,49 @@ class TestTreeBounds:
         assert all(r.optimum is not None for r in report.rows)
         assert all(r.cert_defects == () for r in report.rows)
 
+    def test_options_seed_reaches_no_row(self):
+        # a seed in the options labels W_5; the trees of order 4 and 5 are
+        # seeded by nothing, so the rows equal the unseeded run's
+        specs = harness._tree_instances(range(4, 6), 2)
+        seed = certificates.CERTIFICATES["wheel"](5).labeling
+        opts = SolveOptions(method="bb", seed_labeling=seed)
+        seeded = check("tree_bounds", specs, opts)
+        plain = check("tree_bounds", specs, SolveOptions(method="bb"))
+        assert seeded.rows == plain.rows
+
+    @pytest.mark.parametrize(
+        "spec, gamma_set, bounds",
+        [
+            (GraphSpec("path", n=4), frozenset({1, 3}), (2, 2, 6, 2)),
+            # gamma = 2 < n - beta0 = 3: no domination bound
+            (GraphSpec("path", n=6), None, (3, None, 9, 3)),
+            (GraphSpec("star", n=5), frozenset({0}), (-2, -2, 6, -2)),
+        ],
+        ids=["P_4", "P_6", "Star_5"],
+    )
+    def test_tree_bounds(self, spec, gamma_set, bounds):
+        b = harness.tree_bounds(generate(spec))
+        assert b.gamma_set == gamma_set
+        assert (
+            b.support_leaf, b.domination, b.independence_stated, b.independence_proof
+        ) == bounds
+
+    def test_domination_hypothesis_decided_once(self, monkeypatch, capsys, tmp_path):
+        # with no gamma-set found, neither the check nor bounds --tree
+        # states the domination bound on P_4
+        monkeypatch.setattr(
+            harness, "find_gamma_set_independent_complement", lambda t, p: None
+        )
+        spec = GraphSpec("path", n=4)
+        tags = [r.spec.rsplit("/", 1)[1] for r in check("tree_bounds", [spec]).rows]
+        assert tags == ["support_leaf", "independence_stated", "independence_proof"]
+        path = tmp_path / "p4.el"
+        path.write_text(serialize_edge_list(generate(spec)))
+        assert main(["bounds", "--tree", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "domination upper bound:      inapplicable" in out
+        assert " domination=None " in out
+
     def test_truncated_inner_solve_is_not_cert_invalid(self):
         # under this limit the stripped tree's best labeling extends to an
         # invalid labeling; that is no finding against the construction
@@ -259,8 +303,22 @@ class TestSubadditivity:
 
 class TestLemmaCheck:
     def test_holds(self):
-        report = check("lemma", (50, 50))
-        assert report.rows[0].verdict == "BOUND_HOLDS"
+        report = check("lemma", (range(1, 51), range(3, 51)))
+        assert [(r.spec, r.verdict) for r in report.rows] == [
+            ("n<=50_m<=50", "BOUND_HOLDS")
+        ]
+
+    @pytest.mark.parametrize(
+        "orders, label",
+        [
+            (range(1, 9), "n<=8_m<=8"),
+            (range(2, 9), "2<=n<=8_m<=8"),
+            (range(5, 9), "5<=n<=8_5<=m<=8"),
+        ],
+    )
+    def test_grid_label_names_its_bounds(self, orders, label):
+        report = check("lemma", harness._lemma_instances(orders))
+        assert [r.spec for r in report.rows] == [label]
 
 
 class TestExport:
