@@ -26,7 +26,7 @@ from .formulas import (
     exact_value,
     outside_domain,
 )
-from .graph import Graph, GraphSpec, corona, generate
+from .graph import Graph, GraphSpec, bfs, corona, generate
 from .solver import CapExceededError, SolveOptions, solve
 from .trees import is_tree
 
@@ -304,24 +304,15 @@ def cert_tree_from_dominating_set(t: Graph, s: Iterable[int]) -> Certificate:
     )
 
 
-def _bfs_farthest(adj, start):
-    """BFS from ``start``: the farthest vertex (the lowest index among
-    ties), its distance, and the BFS parent of every vertex."""
-    dist = {start: 0}
-    parent = {start: None}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    parent[v] = u
-                    nxt.append(v)
-        frontier = nxt
-    best = max(dist.values())
-    far = min(v for v in dist if dist[v] == best)
-    return far, best, parent
+def _farthest(t: Graph, start: int):
+    """The vertex farthest from ``start`` in the tree ``t`` (the lowest
+    index among ties), its distance, and the BFS parent of every vertex."""
+    order, parent = bfs(t, start)
+    depth = [0] * t.n
+    for u in order[1:]:
+        depth[u] = depth[parent[u]] + 1
+    best = depth[order[-1]]
+    return depth.index(best), best, parent
 
 
 def cert_tree_support_leaf(
@@ -336,8 +327,8 @@ def cert_tree_support_leaf(
     the stripped tree (standing in for the induction hypothesis) by
     f(v) = 2 and -1 on the stripped leaves. Validity of the extension is
     not re-proved here; downstream validation decides it per instance.
-    The stripped tree is solved under the threshold mode, method and node
-    limit of ``options``; a truncated solve is reported as a defect.
+    The stripped tree is solved under ``options``; a truncated solve is
+    reported as a defect.
     """
     opts = options or SolveOptions()
     if not is_tree(t):
@@ -346,8 +337,8 @@ def cert_tree_support_leaf(
         raise CertificateError("requires n >= 2")
     adj = t.adj
     defects = ()
-    far_a, _, _ = _bfs_farthest(adj, 0)
-    far_b, diameter, parent = _bfs_farthest(adj, far_a)
+    far_a, _, _ = _farthest(t, 0)
+    far_b, diameter, parent = _farthest(t, far_a)
     if diameter <= 2:
         hub = max(range(t.n), key=lambda v: (len(adj[v]), -v))
         out = tuple(2 if v == hub else -1 for v in range(t.n))
@@ -368,15 +359,10 @@ def cert_tree_support_leaf(
         # trees with n = 4..13, in both threshold modes). The stripped tree
         # takes the caller's method, "auto" unless one is given; a method
         # whose cap it exceeds leaves the choice to "auto".
-        inner_opts = SolveOptions(
-            method=opts.method,
-            threshold_mode=opts.threshold_mode,
-            node_limit=opts.node_limit,
-        )
         try:
-            inner = solve(sub, inner_opts)
+            inner = solve(sub, opts)
         except CapExceededError:
-            inner = solve(sub, replace(inner_opts, method="auto"))
+            inner = solve(sub, replace(opts, method="auto"))
         if not inner.proven:
             defects = (
                 f"stripped tree unproven: node limit {opts.node_limit} reached",

@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 
 class GraphError(ValueError):
@@ -76,17 +76,7 @@ class Graph:
         return sum(len(s) for s in self.adj) // 2
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in self.adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == self.n
+        return self.n <= 1 or len(bfs(self)[0]) == self.n
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
@@ -108,16 +98,24 @@ class Graph:
         return f"Graph(n={self.n}, m={self.num_edges()})"
 
 
-def check_simple(g: Graph) -> None:
-    """Validate symmetry, irreflexivity and index range over all pairs."""
-    for u in range(g.n):
-        if u in g.adj[u]:
-            raise GraphError(f"loop at vertex {u}")
-        for v in g.adj[u]:
-            if not (0 <= v < g.n):
-                raise GraphError(f"neighbor {v} of {u} out of range")
-            if u not in g.adj[v]:
-                raise GraphError(f"asymmetric edge ({u},{v})")
+def bfs(g: Graph, root: int = 0) -> Tuple[List[int], List[int]]:
+    """Breadth-first search from ``root``, neighbours in index order.
+
+    Returns the vertices reachable from ``root`` in visiting order, and
+    each vertex's BFS parent: -1 for the root and for unreached vertices.
+    On a tree, reversing the order visits every child before its parent.
+    """
+    parent = [-1] * g.n
+    seen = [False] * g.n
+    seen[root] = True
+    order = [root]
+    for u in order:
+        for v in sorted(g.adj[u]):
+            if not seen[v]:
+                seen[v] = True
+                parent[v] = u
+                order.append(v)
+    return order, parent
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ import functools
 import itertools
 import json
 import random
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
@@ -83,8 +83,7 @@ def _exact(g: Graph, opts: SolveOptions, seed_labeling=None) -> Optional[int]:
         elif method == "dp":
             res = tree_dp(g, opts)
         else:
-            # a row is seeded by its own certificate only, never by ``opts``
-            res = branch_and_bound(g, replace(opts, seed_labeling=seed_labeling))
+            res = branch_and_bound(g, opts, seed_labeling=seed_labeling)
     except CapExceededError:
         return None
     return res.optimum if res.proven else None

@@ -43,7 +43,7 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, bfs
 from .labeling import majority_threshold, validate
 
 
@@ -64,7 +64,6 @@ class SolveOptions:
     method: str = "auto"  # "auto" or a key of METHODS
     # accepted for compatibility; the search is serial and ignores it
     thread_count: int = 1
-    seed_labeling: Optional[Tuple[int, ...]] = None
     node_limit: Optional[int] = None
     threshold_mode: str = "ceil"
     brute_cap: int = 16
@@ -515,7 +514,9 @@ class _Search:
 
 
 def branch_and_bound(
-    g: Graph, options: Optional[SolveOptions] = None
+    g: Graph,
+    options: Optional[SolveOptions] = None,
+    seed_labeling: Optional[Tuple[int, ...]] = None,
 ) -> OptResult:
     """Exact optimum by pruned DFS; same value as brute_force.
 
@@ -542,11 +543,11 @@ def branch_and_bound(
     allowed_unsat = n - thr
     order = sorted(range(n), key=lambda v: (-len(g.adj[v]), v))
 
-    if opts.seed_labeling is not None:
-        report = validate(g, opts.seed_labeling, opts.threshold_mode)
+    if seed_labeling is not None:
+        report = validate(g, seed_labeling, opts.threshold_mode)
         if not report.is_valid:
             raise SolverError("seed_labeling is not a valid labeling")
-        weight, witness = report.weight, tuple(opts.seed_labeling)
+        weight, witness = report.weight, tuple(seed_labeling)
     else:
         weight, witness = 2 * n, tuple([2] * n)
 
@@ -660,23 +661,15 @@ class _TreeDP:
     """
 
     def __init__(self, g: Graph, thr: int):
-        n = g.n
         self.thr = thr
-        self.parent = [-1] * n
-        self.children = [[] for _ in range(n)]
+        order, self.parent = bfs(g)
+        self.children = [[] for _ in range(g.n)]
+        for v in order[1:]:
+            self.children[self.parent[v]].append(v)
         self.extra = None
-        order = [0]
-        seen = [False] * n
-        seen[0] = True
-        for u in order:
-            for w in sorted(g.adj[u]):
-                if not seen[w]:
-                    seen[w] = True
-                    self.parent[w] = u
-                    self.children[u].append(w)
-                    order.append(w)
-                elif w != self.parent[u]:
-                    self.extra = (min(u, w), max(u, w))
+        for a, b in g.edges():
+            if self.parent[a] != b and self.parent[b] != a:
+                self.extra = (a, b)
         self.up = order[::-1]
         if self.extra is not None:
             # the tables of a, b and their ancestors carry the nine cases:

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .graph import Graph
+from .graph import Graph, bfs
 
 _INF = float("inf")
 
@@ -25,69 +25,45 @@ def _require_tree(g: Graph) -> None:
         raise TreeError("input graph is not a tree (connected, acyclic)")
 
 
-def _postorder(g: Graph, root: int = 0):
-    """Vertices in post-order with parents, iteratively."""
-    parent = [-1] * g.n
-    order = []
-    stack = [root]
-    seen = [False] * g.n
-    seen[root] = True
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        for v in g.adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                parent[v] = u
-                stack.append(v)
-    return order[::-1], parent
-
-
 def domination_number(t: Graph) -> int:
     """Exact minimum dominating set size via rooted three-state DP.
 
     States: vertex in the set / dominated from below / not yet dominated
-    (its parent must take it).
+    (its parent must take it). Each vertex pushes its values into its
+    parent. ``base[u]`` sums, over u's children, the least weight of a
+    child dominated without u, and so is the cost of u not yet dominated;
+    ``extra[u]`` is the least added cost of making one child a member, so
+    u dominated from below costs ``base[u] + extra[u]``.
     """
     _require_tree(t)
-    if t.n == 1:
-        return 1
-    order, parent = _postorder(t)
-    in_set = [0.0] * t.n
-    dominated = [0.0] * t.n
-    needs = [0.0] * t.n
-    for u in order:
-        children = [v for v in t.adj[u] if parent[v] == u]
-        if not children:
-            in_set[u] = 1.0
-            dominated[u] = _INF
-            needs[u] = 0.0
-            continue
-        in_set[u] = 1.0 + sum(
-            min(in_set[c], dominated[c], needs[c]) for c in children
-        )
-        base = sum(min(in_set[c], dominated[c]) for c in children)
-        extra = min(in_set[c] - min(in_set[c], dominated[c]) for c in children)
-        dominated[u] = base + extra
-        needs[u] = base
-    root = order[-1]
-    return int(min(in_set[root], dominated[root]))
+    order, parent = bfs(t)
+    in_set = [1] * t.n
+    base = [0] * t.n
+    extra = [_INF] * t.n
+    for u in reversed(order):
+        p = parent[u]
+        if p >= 0:
+            free = min(in_set[u], base[u] + extra[u])
+            in_set[p] += min(free, base[u])
+            base[p] += free
+            extra[p] = min(extra[p], in_set[u] - free)
+    return int(min(in_set[0], base[0] + extra[0]))
 
 
 def maximum_independent_set(t: Graph) -> frozenset:
     """A maximum independent set via the two-state DP (take or skip each
     vertex), traced back from the root; ties take the vertex."""
     _require_tree(t)
-    order, parent = _postorder(t)
+    order, parent = bfs(t)
     take = [1] * t.n
     skip = [0] * t.n
-    for u in order:
+    for u in reversed(order):
         p = parent[u]
         if p >= 0:
             take[p] += skip[u]
             skip[p] += max(take[u], skip[u])
     chosen = set()
-    for u in reversed(order):
+    for u in order:
         if parent[u] not in chosen and take[u] >= skip[u]:
             chosen.add(u)
     return frozenset(chosen)

@@ -62,7 +62,7 @@ def seeded_exact(g, labeling):
     """Exact optimum: brute force up to 12 vertices, seeded search above."""
     if g.n <= 12:
         return brute_force(g).optimum
-    return branch_and_bound(g, SolveOptions(seed_labeling=labeling)).optimum
+    return branch_and_bound(g, seed_labeling=labeling).optimum
 
 
 def test_criterion_01_complete_graphs():

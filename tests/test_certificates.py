@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from majroman import solver
 from majroman.certificates import (
     CERTIFICATES,
     CertificateError,
@@ -394,3 +395,21 @@ class TestTreeSupportLeafCert:
         assert cert.defects == ("stripped tree unproven: node limit 500 reached",)
         assert validate(t, cert.labeling).is_valid
         assert cert_tree_support_leaf(random_tree(10, 42)).defects == ()
+
+    def test_brute_cap_reaches_inner_solve(self, monkeypatch):
+        # the stripped tree has n = 11, past the caller's cap of 9, so
+        # brute force refuses it and the solve falls back to "auto", which
+        # sends it to the tree DP
+        calls = []
+        for name in ("brute_force", "tree_dp"):
+            original = getattr(solver, name)
+
+            def record(g, opts=None, _name=name, _original=original):
+                calls.append((_name, g.n, opts.brute_cap))
+                return _original(g, opts)
+
+            monkeypatch.setattr(solver, name, record)
+        t = random_tree(12, 3)
+        cert = cert_tree_support_leaf(t, SolveOptions(method="brute", brute_cap=9))
+        assert calls == [("brute_force", 11, 9), ("tree_dp", 11, 9)]
+        assert validate(t, cert.labeling).is_valid

@@ -22,6 +22,7 @@ from majroman.graph import (
     serialize_edge_list,
 )
 from majroman.labeling import validate
+from majroman.solver import SolveOptions
 
 
 def run(capsys, *argv):
@@ -269,11 +270,46 @@ class TestCheck:
         assert lines[0] == "spec,predicted,cert_weight,cert_valid,optimum,verdict"
         assert "K_3,2,2,true,2,MATCH" in lines
 
+    def test_json_output(self, capsys, tmp_path):
+        path = tmp_path / "out.jsonl"
+        code, _, _ = run(
+            capsys, "check", "--theorem", "wheel", "--range", "4..5",
+            "--json", str(path),
+        )
+        assert code == 0
+        report = harness.check("wheel", [4, 5], SolveOptions())
+        assert path.read_text() == harness.export(report, "jsonl")
+        assert len(path.read_text().splitlines()) == 2
+
+    def test_rows_past_brute_cap_unproven(self, capsys):
+        # brute force refuses n = 17, so every row of the tree is UNPROVEN
+        code, out, _ = run(
+            capsys, "check", "--theorem", "tree_bounds", "--method", "brute",
+            "--range", "17..17", "--count", "1",
+        )
+        assert code == 0
+        assert out.count("UNPROVEN") == 3
+        assert out.splitlines()[-1] == "RESULT theorem=tree_bounds rows=3 unproven=3"
+
     def test_malformed_range(self, capsys):
         code, _, err = run(
             capsys, "check", "--theorem", "star", "--range", "2-12"
         )
         assert code == 1 and "malformed range" in err
+
+    def test_range_of_non_integers(self, capsys):
+        code, out, err = run(
+            capsys, "check", "--theorem", "star", "--range", "a..b"
+        )
+        assert code == 1 and out == ""
+        assert err.splitlines()[-1] == (
+            "error: malformed range 'a..b'; expected integers"
+        )
+
+    def test_unknown_theorem(self, capsys):
+        code, out, err = run(capsys, "check", "--theorem", "nosuch")
+        assert code == 1 and out == ""
+        assert err.splitlines()[-1] == "error: unknown theorem id 'nosuch'"
 
     @pytest.mark.parametrize("theorem", ["wheel", "join_complete"])
     def test_missing_range(self, capsys, theorem):

@@ -9,7 +9,7 @@ from majroman.graph import (
     Graph,
     GraphError,
     GraphSpec,
-    check_simple,
+    bfs,
     complement,
     complete,
     complete_minus_matching,
@@ -70,10 +70,43 @@ class TestGraphBasics:
         assert path(5).is_connected()
         assert not Graph(4, [(0, 1), (2, 3)]).is_connected()
 
-    def test_check_simple_on_families(self):
-        for g in (path(6), cycle(5), wheel(7), complete_minus_matching(3),
-                  corona(complete(2), cycle(4))):
-            check_simple(g)
+
+
+class TestBFS:
+    def test_children_in_index_order(self):
+        # 0's neighbours 5, 2, 7 are visited as 2, 5, 7, then 2's 4, 1
+        g = Graph(8, [(0, 5), (0, 7), (0, 2), (2, 4), (2, 1), (5, 3), (7, 6)])
+        order, parent = bfs(g)
+        assert order == [0, 2, 5, 7, 1, 4, 3, 6]
+        assert parent == [-1, 2, 0, 5, 2, 0, 7, 0]
+
+    def test_root_and_unreached_vertices(self):
+        g = Graph(6, [(4, 1), (1, 3), (0, 5)])
+        order, parent = bfs(g, 1)
+        assert order == [1, 3, 4]
+        assert parent == [-1, -1, -1, 1, 1, -1]
+
+    def test_cycle_edge_stays_out(self):
+        order, parent = bfs(cycle(5))
+        assert order == [0, 1, 4, 2, 3]
+        assert parent == [-1, 0, 1, 4, 0]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_tree_edges_match_networkx(self, seed):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(seed)
+        for g in (
+            gnp(rng.randint(1, 25), rng.choice((0.05, 0.1, 0.3)), seed),
+            random_tree(rng.randint(1, 40), seed),
+        ):
+            G = nx.Graph()
+            G.add_nodes_from(range(g.n))
+            G.add_edges_from(g.edges())
+            order, parent = bfs(g)
+            expected = list(nx.bfs_edges(G, 0, sort_neighbors=sorted))
+            assert [(parent[v], v) for v in order[1:]] == expected
+            reached = {0} | {v for _, v in expected}
+            assert all(parent[v] == -1 for v in range(g.n) if v not in reached)
 
 
 class TestFamilies:

@@ -188,16 +188,6 @@ class TestTreeBounds:
         assert all(r.optimum is not None for r in report.rows)
         assert all(r.cert_defects == () for r in report.rows)
 
-    def test_options_seed_reaches_no_row(self):
-        # a seed in the options labels W_5; the trees of order 4 and 5 are
-        # seeded by nothing, so the rows equal the unseeded run's
-        specs = harness._tree_instances(range(4, 6), 2)
-        seed = certificates.CERTIFICATES["wheel"](5).labeling
-        opts = SolveOptions(method="bb", seed_labeling=seed)
-        seeded = check("tree_bounds", specs, opts)
-        plain = check("tree_bounds", specs, SolveOptions(method="bb"))
-        assert seeded.rows == plain.rows
-
     @pytest.mark.parametrize(
         "spec, gamma_set, bounds",
         [

@@ -284,15 +284,13 @@ class TestBranchAndBound:
         for n in (6, 9, 12):
             cert = cert_wheel_fan(n, "wheel")
             plain = branch_and_bound(cert.graph)
-            seeded = branch_and_bound(
-                cert.graph, SolveOptions(seed_labeling=cert.labeling)
-            )
+            seeded = branch_and_bound(cert.graph, seed_labeling=cert.labeling)
             assert seeded.optimum == plain.optimum
             assert validate(cert.graph, seeded.witness).is_valid
 
     def test_invalid_seed_rejected(self):
         with pytest.raises(SolverError):
-            branch_and_bound(path(2), SolveOptions(seed_labeling=(-1, 1)))
+            branch_and_bound(path(2), seed_labeling=(-1, 1))
 
     def test_node_limit_truncates(self):
         res = branch_and_bound(wheel(10), SolveOptions(node_limit=5))
@@ -411,9 +409,7 @@ class TestGuardCapacityBound:
         report = validate(g, res.witness, mode)
         assert report.is_valid and report.weight == res.optimum
         assert majority_lower_bound(g, mode) <= brute.optimum
-        seeded = branch_and_bound(
-            g, SolveOptions(threshold_mode=mode, seed_labeling=brute.witness)
-        )
+        seeded = branch_and_bound(g, opts, seed_labeling=brute.witness)
         assert seeded.proven and seeded.optimum == brute.optimum
 
     @pytest.mark.parametrize("n", [18, 20])
@@ -727,7 +723,7 @@ class TestMajorityLowerBound:
         cert = CERTIFICATES[family](n)
         # a search would stop at the limit, unproven
         res = branch_and_bound(
-            cert.graph, SolveOptions(seed_labeling=cert.labeling, node_limit=1)
+            cert.graph, SolveOptions(node_limit=1), seed_labeling=cert.labeling
         )
         assert res.nodes_explored == 0 and res.proven
         assert res.witness == tuple(cert.labeling)
@@ -739,9 +735,7 @@ class TestMajorityLowerBound:
             assert majority_lower_bound(cert.graph) < validate(
                 cert.graph, cert.labeling
             ).weight
-            res = branch_and_bound(
-                cert.graph, SolveOptions(seed_labeling=cert.labeling)
-            )
+            res = branch_and_bound(cert.graph, seed_labeling=cert.labeling)
             assert res.proven and res.nodes_explored == nodes
             assert res.optimum == optimum
             witness = tuple({"-": -1, "+": 1, "2": 2}[c] for c in labels)
